@@ -15,7 +15,7 @@ from functools import cached_property
 
 
 class AlgebraError(ValueError):
-    """Malformed algebra file or invalid operation-table data."""
+    """Malformed input file or invalid operation-table data."""
 
 
 @dataclass(frozen=True)
@@ -127,41 +127,63 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
     return FiniteAlgebra(name or f"{a.name}x{b.name}", size, tuple(ops))
 
 
-def load_algebra(text: str) -> FiniteAlgebra:
-    """Parse and validate an algebra from its JSON file contents."""
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+_KINDS = {
+    "an integer": _is_int,
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": _is_ints,
+    "an object of integer lists keyed by mask": lambda v: isinstance(v, dict)
+    and all(k.isdecimal() and _is_ints(x) for k, x in v.items()),
+}
+
+
+def parse_json(text: str):
+    """Decode a JSON input file; a syntax error becomes an AlgebraError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraError(f"invalid JSON: {exc}") from None
+
+
+def json_fields(doc, spec: dict[str, str], where: str = "") -> list:
+    """The values of spec's keys in doc, in spec order.
+
+    Checks that doc is a JSON object holding every key with the kind spec
+    names for it (a key of ``_KINDS``), and raises AlgebraError with a
+    one-line message naming the first field that is not.
+    """
     if not isinstance(doc, dict):
-        raise AlgebraError("top level must be a JSON object")
-    for key in ("name", "size", "operations"):
+        raise AlgebraError(f"{where or 'top level'} must be a JSON object")
+    prefix = f"{where}: " if where else ""
+    values = []
+    for key, kind in spec.items():
         if key not in doc:
-            raise AlgebraError(f"missing field {key!r}")
-    name = doc["name"]
-    if not isinstance(name, str):
-        raise AlgebraError("'name' must be a string")
-    size = doc["size"]
-    if not isinstance(size, int) or isinstance(size, bool):
-        raise AlgebraError("'size' must be an integer")
-    raw_ops = doc["operations"]
-    if not isinstance(raw_ops, list):
-        raise AlgebraError("'operations' must be a list")
+            raise AlgebraError(f"{prefix}missing field {key!r}")
+        if not _KINDS[kind](doc[key]):
+            raise AlgebraError(f"{prefix}{key!r} must be {kind}")
+        values.append(doc[key])
+    return values
+
+
+def load_algebra(text: str) -> FiniteAlgebra:
+    """Parse and validate an algebra from its JSON file contents."""
+    name, size, raw_ops = json_fields(
+        parse_json(text), {"name": "a string", "size": "an integer", "operations": "a list"}
+    )
     ops = []
     for i, raw in enumerate(raw_ops):
-        where = f"operations[{i}]"
-        if not isinstance(raw, dict):
-            raise AlgebraError(f"{where}: must be an object")
-        for key in ("name", "arity", "table"):
-            if key not in raw:
-                raise AlgebraError(f"{where}: missing field {key!r}")
-        if not isinstance(raw["name"], str):
-            raise AlgebraError(f"{where}: 'name' must be a string")
-        if not isinstance(raw["arity"], int) or isinstance(raw["arity"], bool):
-            raise AlgebraError(f"{where}: 'arity' must be an integer")
-        if not isinstance(raw["table"], list):
-            raise AlgebraError(f"{where}: 'table' must be a list")
-        ops.append(OperationTable(raw["name"], raw["arity"], tuple(raw["table"])))
+        op_name, arity, table = json_fields(
+            raw, {"name": "a string", "arity": "an integer", "table": "a list"}, f"operations[{i}]"
+        )
+        ops.append(OperationTable(op_name, arity, tuple(table)))
     return FiniteAlgebra(name, size, tuple(ops))
 
 

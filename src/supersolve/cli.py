@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import absorbing, solver, witness
-from .algebra import AlgebraError, FiniteAlgebra, load_algebra, max_arity
+from .algebra import AlgebraError, FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
 from .bounds import make_bound_report
 from .malcev import MalcevNotFound, find_malcev
 from .solver import (
@@ -210,14 +210,21 @@ def _cmd_malcev(config: RunConfig) -> int:
     return EXIT_OK
 
 
+_FUNCTION_FIELDS = {
+    "domain_size": "an integer",
+    "arity": "an integer",
+    "prime": "an integer",
+    "table": "a list of integers",
+}
+
+
+def _load_function(raw, where: str = "") -> absorbing.TabulatedFunction:
+    domain_size, arity, prime, table = json_fields(raw, _FUNCTION_FIELDS, where)
+    return absorbing.TabulatedFunction(domain_size, arity, prime, tuple(table))
+
+
 def _cmd_absorb(config: RunConfig) -> int:
-    raw = json.loads(_read(config.function_path))
-    f = absorbing.TabulatedFunction(
-        domain_size=raw["domain_size"],
-        arity=raw["arity"],
-        prime=raw["prime"],
-        table=tuple(raw["table"]),
-    )
+    f = _load_function(parse_json(_read(config.function_path)))
     decomposition = absorbing.decompose(f)
     doc = {"schema": SCHEMA, "command": "absorb"}
     doc.update(decomposition.to_json_dict())
@@ -229,31 +236,30 @@ def _cmd_absorb(config: RunConfig) -> int:
 
 
 def _cmd_reduce_witness(config: RunConfig) -> int:
-    raw = json.loads(_read(config.input_path))
-    mode = raw.get("mode")
+    raw = parse_json(_read(config.input_path))
+    (mode,) = json_fields(raw, {"mode": "a string"})
     if mode == "ks":
+        n, k, p, m, values = json_fields(raw, {
+            "n": "an integer",
+            "k": "an integer",
+            "p": "an integer",
+            "m": "an integer",
+            "phi": "an object of integer lists keyed by mask",
+        })
         phi = witness.SubsetFunction(
-            n=raw["n"],
-            k=raw["k"],
-            p=raw["p"],
-            m=raw["m"],
-            values={int(mask): tuple(vec) for mask, vec in raw["phi"].items()},
+            n=n, k=k, p=p, m=m,
+            values={int(mask): tuple(vec) for mask, vec in values.items()},
         )
         u = witness.ks_find_u(phi)
         bound = phi.k * phi.m * (phi.p - 1)
     elif mode == "redweight":
-        fs = [
-            absorbing.TabulatedFunction(
-                domain_size=rf["domain_size"],
-                arity=rf["arity"],
-                prime=rf["prime"],
-                table=tuple(rf["table"]),
-            )
-            for rf in raw["functions"]
-        ]
-        u = witness.redweight_find_u(fs, raw["k"], tuple(raw["a"]))
+        k, a, raw_fs = json_fields(
+            raw, {"k": "an integer", "a": "a list of integers", "functions": "a list"}
+        )
+        fs = [_load_function(rf, f"functions[{i}]") for i, rf in enumerate(raw_fs)]
+        u = witness.redweight_find_u(fs, k, tuple(a))
         p = fs[0].prime if fs else 2
-        bound = raw["k"] * len(fs) * (p - 1)
+        bound = k * len(fs) * (p - 1)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'ks' or 'redweight'")
     indices = absorbing.mask_indices(u)
@@ -331,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--deterministic",
             action=argparse.BooleanOptionalAction,
             default=True,
-            help="canonical-order scanning and stable output (default on)",
+            help="byte-stable output: bench omits its timing fields (default on)",
         )
 
     p = sub.add_parser("solve", help="bounded-weight solver")

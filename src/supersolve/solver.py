@@ -13,17 +13,22 @@ Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
 scans all of A^n lexicographically.  Both solvers evaluate terms in
-chunks through a small postfix compiler backed by numpy table gathers;
-reported statistics are exact sequential-scan equivalents: candidates
-tested until the verdict, and AST nodes evaluated, where a candidate
-evaluates equations left to right and stops at the first mismatch.
+chunks through a small postfix compiler backed by numpy table gathers.
+A bounded-scan chunk packs as many whole support sets of one weight as
+fit; chunks are capped by cells as well as rows, so their memory does
+not grow with n, and candidates and tables are carried in the narrowest
+unsigned dtype that holds the carrier.  Reported statistics do not
+depend on any of this: they are exact sequential-scan equivalents,
+candidates tested until the verdict, and AST nodes evaluated, where a
+candidate evaluates equations left to right and stops at the first
+mismatch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -120,6 +125,11 @@ def enumerate_bounded_weight(n: int, w: int, size: int, z: int = 0):
 # compiled evaluation
 
 
+def _carrier(size: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every element of a size-element carrier."""
+    return np.min_scalar_type(size - 1)
+
+
 class _CompiledSystem:
     """Postfix programs per equation plus the sequential-cost bookkeeping."""
 
@@ -128,7 +138,8 @@ class _CompiledSystem:
             raise ValueError("system must contain at least one equation")
         self.size = alg.size
         self.n = system.n
-        tables = {op.name: np.asarray(op.table, dtype=np.int64) for op in alg.operations}
+        dtype = _carrier(alg.size)
+        tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
         self.equations = []
         self.costs = []
         for lhs, rhs in system.equations:
@@ -170,17 +181,18 @@ class _CompiledSystem:
             if kind == "var":
                 stack.append(X[:, instr[1]])
             elif kind == "const":
-                stack.append(np.full(rows, instr[1], dtype=np.int64))
+                stack.append(np.full(rows, instr[1], dtype=X.dtype))
             else:
                 _, table, arity = instr
                 if arity == 0:
-                    stack.append(np.full(rows, table[0], dtype=np.int64))
+                    stack.append(np.full(rows, table[0], dtype=X.dtype))
                     continue
                 args = stack[len(stack) - arity :]
                 del stack[len(stack) - arity :]
-                flat = args[0]
+                flat = args[0].astype(np.intp)
                 for a in args[1:]:
-                    flat = flat * self.size + a
+                    flat *= self.size
+                    flat += a
                 stack.append(table[flat])
         return stack[-1]
 
@@ -210,34 +222,62 @@ def _lex_chunks(n: int, size: int, chunk: int = _CHUNK):
     """All of A^n, lexicographic (leftmost coordinate most significant)."""
     total = size**n
     strides = [size ** (n - 1 - j) for j in range(n)]
+    dtype = _carrier(size)
     start = 0
     while start < total:
         stop = min(start + chunk, total)
         r = np.arange(start, stop, dtype=np.int64)
-        X = np.empty((stop - start, n), dtype=np.int64)
+        X = np.empty((stop - start, n), dtype=dtype, order="F")
         for j in range(n):
             X[:, j] = r // strides[j] % size
         yield X
         start = stop
 
 
+def _values(start: int, stop: int, weight: int, base: int, z: int, dtype) -> np.ndarray:
+    """Value tuples start..stop-1 of one support, lexicographic over the
+    non-z elements, as a (stop - start, weight) array."""
+    r = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, weight), dtype=dtype)
+    for t in range(weight):
+        digit = r // base ** (weight - 1 - t) % base
+        out[:, t] = digit + (digit >= z)
+    return out
+
+
 def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
-    """The canonical bounded-weight order, in vectorized blocks."""
+    """The canonical bounded-weight order, in vectorized blocks.
+
+    A chunk packs as many whole support sets of one weight as fit; only a
+    weight layer whose value block alone exceeds a chunk is split within
+    each support.  Chunks hold at most 8 * chunk cells, so their memory
+    does not grow with n.  Chunks are column-major, here and in
+    _lex_chunks, so the evaluator reads each variable's column contiguously.
+    """
     base = size - 1
+    dtype = _carrier(size)
+    rows = max(1, min(chunk, 8 * chunk // max(n, 1)))
     for weight in range(min(w, n) + 1):
-        strides = [base ** (weight - 1 - t) for t in range(weight)]
         block = base**weight
-        for support in combinations(range(n), weight):
-            start = 0
-            while start < block:
-                stop = min(start + chunk, block)
-                r = np.arange(start, stop, dtype=np.int64)
-                X = np.full((stop - start, n), z, dtype=np.int64)
-                for t, pos in enumerate(support):
-                    digit = r // strides[t] % base
-                    X[:, pos] = digit + (digit >= z)
-                yield X
-                start = stop
+        if not block:
+            break  # a one-element carrier has no non-z values
+        supports = combinations(range(n), weight)
+        if block > rows:
+            for support in supports:
+                for start in range(0, block, rows):
+                    vals = _values(start, min(start + rows, block), weight, base, z, dtype)
+                    X = np.full((n, len(vals)), z, dtype=dtype).T
+                    X[:, list(support)] = vals
+                    yield X
+            continue
+        vals = _values(0, block, weight, base, z, dtype)
+        while batch := list(islice(supports, rows // block)):
+            S = np.array(batch, dtype=np.intp).reshape(len(batch), weight)
+            X = np.full((n, len(batch), block), z, dtype=dtype)
+            picks = np.arange(len(batch))
+            for t in range(weight):
+                X[S[:, t], picks] = vals[:, t]
+            yield X.reshape(n, len(batch) * block).T
 
 
 def _scan(compiled: _CompiledSystem, chunks):
@@ -277,7 +317,7 @@ def solve_bounded(
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    solution, stats = _scan(compiled, _weight_chunks(n, bound, alg.size, z))
+    solution, stats = _scan(compiled, _weight_chunks(n, bound, alg.size, z, _CHUNK))
     if solution is not None:
         if not _verify(alg, system, solution):
             raise RuntimeError(
@@ -292,7 +332,7 @@ def solve_bounded(
 def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
     """Full enumeration of A^n in lexicographic order; unconditional verdict."""
     compiled = _CompiledSystem(alg, system)
-    solution, stats = _scan(compiled, _lex_chunks(system.n, alg.size))
+    solution, stats = _scan(compiled, _lex_chunks(system.n, alg.size, _CHUNK))
     if solution is not None:
         if not _verify(alg, system, solution):
             raise RuntimeError(

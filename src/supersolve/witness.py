@@ -127,6 +127,9 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
     a = tuple(a)
     if len(a) != n:
         raise ValueError(f"point has length {len(a)}, expected {n}")
+    size = fs[0].domain_size
+    if any(not 0 <= v < size for v in a):
+        raise ValueError(f"point {a} has a coordinate outside [0, {size})")
     targets = [f(a) for f in fs]
     bound = min(n, k * len(fs) * (p - 1))
     for u in _candidates(n, bound):

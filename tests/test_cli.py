@@ -279,3 +279,59 @@ def test_solve_deterministic_json_byte_identical(tmp_path, capsys, z4_file):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     assert out1 == out2
+
+
+_AND = {"domain_size": 2, "arity": 2, "prime": 2, "table": [0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([_AND], "top level must be a JSON object"),
+        ({"arity": 1}, "missing field 'domain_size'"),
+        ({k: v for k, v in _AND.items() if k != "prime"}, "missing field 'prime'"),
+        ({**_AND, "domain_size": "2"}, "'domain_size' must be an integer"),
+        ({**_AND, "arity": True}, "'arity' must be an integer"),
+        ({**_AND, "table": [0, 0, "0", 1]}, "'table' must be a list of integers"),
+    ],
+)
+def test_absorb_rejects_malformed_file(tmp_path, capsys, doc, message):
+    fn_path = tmp_path / "bad.json"
+    fn_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["absorb", "--function", str(fn_path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+_PHI = {"mode": "ks", "n": 3, "k": 1, "p": 2, "m": 1,
+        "phi": {"0": [1], "1": [1], "2": [0], "4": [0]}}
+_RED = {"mode": "redweight", "k": 1, "a": [1, 1, 1], "functions": [
+    {"domain_size": 2, "arity": 3, "prime": 2, "table": [0, 1, 1, 0, 1, 0, 0, 1]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([_PHI], "top level must be a JSON object"),
+        ({"n": 3}, "missing field 'mode'"),
+        ({**_PHI, "mode": 1}, "'mode' must be a string"),
+        ({k: v for k, v in _PHI.items() if k != "phi"}, "missing field 'phi'"),
+        ({**_PHI, "k": "1"}, "'k' must be an integer"),
+        ({**_PHI, "phi": [[1]]}, "'phi' must be an object of integer lists keyed by mask"),
+        ({**_PHI, "phi": {"x": [1]}}, "'phi' must be an object of integer lists keyed by mask"),
+        ({**_PHI, "phi": {"0": 1}}, "'phi' must be an object of integer lists keyed by mask"),
+        ({k: v for k, v in _RED.items() if k != "a"}, "missing field 'a'"),
+        ({**_RED, "functions": {}}, "'functions' must be a list"),
+        ({**_RED, "functions": [3]}, "functions[0] must be a JSON object"),
+        ({**_RED, "functions": [{"arity": 3}]}, "functions[0]: missing field 'domain_size'"),
+        ({**_RED, "a": [5, 1, 1]}, "point (5, 1, 1) has a coordinate outside [0, 2)"),
+    ],
+)
+def test_reduce_witness_rejects_malformed_file(tmp_path, capsys, doc, message):
+    in_path = tmp_path / "bad.json"
+    in_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["reduce-witness", "--input", str(in_path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from supersolve.algebra import AlgebraError, max_arity
@@ -75,6 +76,16 @@ def test_vectorized_chunks_match_generator_order():
             for row in X
         ]
         assert chunked == list(itertools.product(range(size), repeat=n))
+        assert all(X.dtype == np.uint8 for X in _lex_chunks(n, size, chunk=5))
+    # chunk=64 packs whole supports with a remainder (36 weight-2 supports,
+    # 14 per chunk); at n=40 the cell cap binds (8 * 64 // 40 = 12 rows)
+    for n, w, size, z, chunk in [(9, 3, 3, 1, 64), (40, 2, 2, 0, 64), (6, 4, 3, 0, 1)]:
+        chunks = list(_weight_chunks(n, w, size, z, chunk=chunk))
+        assert all(X.dtype == np.uint8 for X in chunks)
+        assert all(0 < len(X) <= min(chunk, 8 * chunk // n) or len(X) == 1 for X in chunks)
+        chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
+        assert chunked == list(enumerate_bounded_weight(n, w, size, z))
+    assert max(len(X) for X in _weight_chunks(9, 2, 3, 1, chunk=64)) == 14 * 4
 
 
 def test_enumeration_covers_full_space_when_w_reaches_n():
@@ -276,3 +287,28 @@ def test_bench_reports_disagreement_field(z2):
     assert result.bounded.satisfiable and result.brute.satisfiable
     assert result.bounded_seconds >= 0
     assert result.brute_seconds >= 0
+
+
+@pytest.mark.parametrize(
+    "fixture, text, z, bound, expected",
+    [
+        # weight 2 on the 9th of 10 supports: mid-chunk once chunks pack supports
+        ("z3", "x3 = #1\nx5 = #2\nadd(x1, x1) = x1", 0, None, (0, 0, 1, 0, 2)),
+        ("z3", "x2 = #0\nx4 = #2\nadd(x1, x6) = #2", 1, 3, (1, 0, 1, 2, 1, 1)),
+        ("z3", "x1 = x2\nadd(x3, x3) = x3\nx4 = #1\nadd(x7, neg(x7)) = #1", 0, 3, None),
+        ("z2", "add(x16, x16) = #1", 0, 3, None),
+        ("z4", "add(x2, x5) = #3\nadd(x3, neg(x3)) = #1", 2, None, None),
+    ],
+)
+def test_outcome_independent_of_chunk_size(request, monkeypatch, fixture, text, z, bound, expected):
+    import supersolve.solver as solver
+
+    alg = request.getfixturevalue(fixture)
+    system = parse_system(text)
+    default = solve_bounded(alg, system, z=z, bound=bound)
+    assert default.satisfiable == (expected is not None)
+    if expected is not None:
+        assert default.verdict == SolutionFound(expected, verified=True)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        assert solve_bounded(alg, system, z=z, bound=bound) == default
