@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import is_prime
 
 DEFAULT_POINT_BUDGET = 2**20
@@ -113,23 +115,27 @@ def _check_mask(f: TabulatedFunction, mask: int):
 
 
 def _components_upto(f: TabulatedFunction, top: int) -> dict[int, TabulatedFunction]:
-    """Components f_J for every J <= top, by the size recursion
-    f_I(a) = f(a restricted to I) - sum of f_J(a) over proper J < I."""
-    points = _points(f.domain_size, f.arity)
-    masks = sorted(_submasks(top), key=lambda m: (m.bit_count(), m))
-    comps: dict[int, list[int]] = {}
-    for mask in masks:
-        table = []
-        for idx, a in enumerate(points):
-            value = f(restrict_vector(a, mask))
-            for sub in _submasks(mask):
-                if sub != mask:
-                    value -= comps[sub][idx]
-            table.append(value % f.prime)
-        comps[mask] = table
+    """Components f_J for every J <= top, by the per-coordinate subset-lattice
+    (fast Moebius) transform on the |A|^n value tensor: with every coordinate
+    outside top fixed at 0, each coordinate j in top splits every component g
+    into g(a_j = 0), which does not contain j, and g - g(a_j = 0), which does.
+    Cost O(|top| * 2^|top| * |A|^n) in numpy."""
+    t = np.asarray(f.table, dtype=np.int64).reshape((f.domain_size,) * f.arity)
+    for j in range(f.arity):
+        if not top >> j & 1:
+            t = np.broadcast_to(t.take([0], axis=j), t.shape)
+    comps = {0: t}
+    for j in range(f.arity):
+        if top >> j & 1:
+            for mask, g in list(comps.items()):
+                at_zero = np.broadcast_to(g.take([0], axis=j), g.shape)
+                comps[mask] = at_zero
+                comps[mask | 1 << j] = g - at_zero
     return {
-        mask: TabulatedFunction(f.domain_size, f.arity, f.prime, tuple(t))
-        for mask, t in comps.items()
+        mask: TabulatedFunction(
+            f.domain_size, f.arity, f.prime, tuple((comps[mask] % f.prime).ravel().tolist())
+        )
+        for mask in sorted(comps, key=lambda m: (m.bit_count(), m))
     }
 
 
@@ -168,7 +174,8 @@ def decompose(
 def component_recursive(
     f: TabulatedFunction, mask: int, max_points: int = DEFAULT_POINT_BUDGET
 ) -> TabulatedFunction:
-    """The I-absorbing component of f, by the size recursion."""
+    """The I-absorbing component of f, by the per-coordinate transform over
+    the coordinates in I."""
     _check_budget(f, max_points)
     _check_mask(f, mask)
     return _components_upto(f, mask)[mask]

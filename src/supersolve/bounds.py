@@ -66,11 +66,7 @@ def tight_weight_bound(
     overrides: list[int] | None = None,
 ) -> int:
     """s * sum_i k_i * alpha_i * (p_i - 1) over the factorization of |A|."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    factors = factorize(cardinality)
-    ks = _k_list(mu, factors, overrides)
-    return s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))
+    return make_bound_report(s, mu, cardinality, overrides=overrides).tight_bound
 
 
 def _k_list(mu, factors, overrides):
@@ -131,10 +127,10 @@ def make_bound_report(
     overrides: list[int] | None = None,
 ) -> BoundReport:
     """All bound figures in one record; effective_bound = min(n, tight)."""
-    factors = factorize(cardinality)
-    ks = _k_list(mu, factors, overrides)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    factors = factorize(cardinality)
+    ks = _k_list(mu, factors, overrides)
     tight = s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))
     loose = loose_weight_bound(s, mu, cardinality)
     if cardinality >= 2 and tight > loose:

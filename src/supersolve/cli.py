@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each subcommand's handler is attached to its sub-parser with
+set_defaults(handler=...) and takes the parsed argparse namespace; run()
+calls it and maps exceptions to exit codes.
+
 Exit codes: 0 = satisfiable / success, 1 = no solution (the output
 distinguishes conditional from exhaustive), 2 = input error, 3 = internal
 theorem violation (never expected).  Machine output (--json, schema
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import absorbing, solver, witness
 from .algebra import AlgebraError, FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
@@ -39,30 +42,13 @@ EXIT_THEOREM_VIOLATION = 3
 _INPUT_ERRORS = (AlgebraError, ParseError, EvalError, ValueError, OSError)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    algebra_path: str | None = None
-    system_path: str | None = None
-    zero: int = 0
-    bound_override: int | None = None
-    deterministic: bool = True
-    json: bool = False
-    s: int = 1
-    n: int | None = None
-    include_constants: bool = False
-    cap: int = 10**6
-    function_path: str | None = None
-    input_path: str | None = None
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
-def _emit(config: RunConfig, doc: dict, human: str) -> None:
-    if config.json:
+def _emit(args: argparse.Namespace, doc: dict, human: str) -> None:
+    if args.json:
         print(json.dumps(doc, separators=(",", ":"), sort_keys=False))
     else:
         print(human)
@@ -105,34 +91,37 @@ def _verdict_text(outcome: SolveOutcome) -> str:
     return f"no solution (exhaustive search)\n{stats}"
 
 
-def _load_inputs(config: RunConfig) -> tuple[FiniteAlgebra, object]:
-    alg = load_algebra(_read(config.algebra_path))
-    system = parse_system(_read(config.system_path))
+def _load_inputs(args: argparse.Namespace) -> tuple[FiniteAlgebra, object]:
+    alg = load_algebra(_read(args.algebra))
+    system = parse_system(_read(args.system))
     check_system(alg, system)
     return alg, system
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    alg, system = _load_inputs(config)
-    outcome = solver.solve_bounded(alg, system, z=config.zero, bound=config.bound_override)
-    doc = {"schema": SCHEMA, "command": "solve", "algebra": alg.name, "n": system.n, "s": system.s, "zero": config.zero}
+def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.bound is not None and args.bound < 0:
+        print("error: --bound must be >= 0", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    alg, system = _load_inputs(args)
+    outcome = solver.solve_bounded(alg, system, z=args.zero, bound=args.bound)
+    doc = {"schema": SCHEMA, "command": "solve", "algebra": alg.name, "n": system.n, "s": system.s, "zero": args.zero}
     doc.update(_verdict_doc(outcome))
-    _emit(config, doc, _verdict_text(outcome))
+    _emit(args, doc, _verdict_text(outcome))
     return EXIT_OK if outcome.satisfiable else EXIT_NO_SOLUTION
 
 
-def _cmd_brute(config: RunConfig) -> int:
-    alg, system = _load_inputs(config)
+def _cmd_brute(args: argparse.Namespace) -> int:
+    alg, system = _load_inputs(args)
     outcome = solver.solve_brute(alg, system)
     doc = {"schema": SCHEMA, "command": "brute", "algebra": alg.name, "n": system.n, "s": system.s}
     doc.update(_verdict_doc(outcome))
-    _emit(config, doc, _verdict_text(outcome))
+    _emit(args, doc, _verdict_text(outcome))
     return EXIT_OK if outcome.satisfiable else EXIT_NO_SOLUTION
 
 
-def _cmd_bench(config: RunConfig) -> int:
-    alg, system = _load_inputs(config)
-    result = solver.bench(alg, system, z=config.zero)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    alg, system = _load_inputs(args)
+    result = solver.bench(alg, system, z=args.zero)
     doc = {
         "schema": SCHEMA,
         "command": "bench",
@@ -143,7 +132,7 @@ def _cmd_bench(config: RunConfig) -> int:
         "bounded": _verdict_doc(result.bounded),
         "brute": _verdict_doc(result.brute),
     }
-    if not config.deterministic:
+    if not args.deterministic:
         doc["bounded_seconds"] = result.bounded_seconds
         doc["brute_seconds"] = result.brute_seconds
     human = (
@@ -151,13 +140,13 @@ def _cmd_bench(config: RunConfig) -> int:
         f"brute:   {_verdict_text(result.brute)}\n"
         f"verdicts agree: {result.agree}"
     )
-    _emit(config, doc, human)
+    _emit(args, doc, human)
     return EXIT_OK if result.bounded.satisfiable else EXIT_NO_SOLUTION
 
 
-def _cmd_bound(config: RunConfig) -> int:
-    alg = load_algebra(_read(config.algebra_path))
-    report = make_bound_report(config.s, max_arity(alg), alg.size, n=config.n)
+def _cmd_bound(args: argparse.Namespace) -> int:
+    alg = load_algebra(_read(args.algebra))
+    report = make_bound_report(args.s, max_arity(alg), alg.size, n=args.n)
     doc = {
         "schema": SCHEMA,
         "command": "bound",
@@ -179,9 +168,9 @@ def _cmd_bound(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_malcev(config: RunConfig) -> int:
-    alg = load_algebra(_read(config.algebra_path))
-    result = find_malcev(alg, include_constants=config.include_constants, cap=config.cap)
+def _cmd_malcev(args: argparse.Namespace) -> int:
+    alg = load_algebra(_read(args.algebra))
+    result = find_malcev(alg, include_constants=args.constants, cap=args.cap)
     if isinstance(result, MalcevNotFound):
         doc = {
             "schema": SCHEMA,
@@ -194,9 +183,9 @@ def _cmd_malcev(config: RunConfig) -> int:
         human = (
             "no Mal'cev term exists (closure exhausted)"
             if result.complete
-            else f"no Mal'cev term found within cap {config.cap} (inconclusive)"
+            else f"no Mal'cev term found within cap {args.cap} (inconclusive)"
         )
-        _emit(config, doc, human)
+        _emit(args, doc, human)
         return EXIT_NO_SOLUTION
     doc = {
         "schema": SCHEMA,
@@ -206,7 +195,7 @@ def _cmd_malcev(config: RunConfig) -> int:
         "witness": format_term(result.witness),
         "table": list(result.table),
     }
-    _emit(config, doc, f"Mal'cev term: {format_term(result.witness)}")
+    _emit(args, doc, f"Mal'cev term: {format_term(result.witness)}")
     return EXIT_OK
 
 
@@ -223,20 +212,20 @@ def _load_function(raw, where: str = "") -> absorbing.TabulatedFunction:
     return absorbing.TabulatedFunction(domain_size, arity, prime, tuple(table))
 
 
-def _cmd_absorb(config: RunConfig) -> int:
-    f = _load_function(parse_json(_read(config.function_path)))
+def _cmd_absorb(args: argparse.Namespace) -> int:
+    f = _load_function(parse_json(_read(args.function)))
     decomposition = absorbing.decompose(f)
     doc = {"schema": SCHEMA, "command": "absorb"}
     doc.update(decomposition.to_json_dict())
     human = "absorbing degree: {}\n".format(doc["absorbing_degree"]) + "\n".join(
         f"  {mask}: {table}" for mask, table in doc["components"].items()
     )
-    _emit(config, doc, human)
+    _emit(args, doc, human)
     return EXIT_OK
 
 
-def _cmd_reduce_witness(config: RunConfig) -> int:
-    raw = parse_json(_read(config.input_path))
+def _cmd_reduce_witness(args: argparse.Namespace) -> int:
+    raw = parse_json(_read(args.input))
     (mode,) = json_fields(raw, {"mode": "a string"})
     if mode == "ks":
         n, k, p, m, values = json_fields(raw, {
@@ -272,12 +261,12 @@ def _cmd_reduce_witness(config: RunConfig) -> int:
         "size": len(indices),
         "bound": bound,
     }
-    _emit(config, doc, f"U = {indices} (|U| = {len(indices)}, bound {bound})")
+    _emit(args, doc, f"U = {indices} (|U| = {len(indices)}, bound {bound})")
     return EXIT_OK
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    alg = load_algebra(_read(config.algebra_path))
+def _cmd_validate(args: argparse.Namespace) -> int:
+    alg = load_algebra(_read(args.algebra))
     doc = {
         "schema": SCHEMA,
         "command": "validate",
@@ -287,31 +276,19 @@ def _cmd_validate(config: RunConfig) -> int:
         "ok": True,
     }
     human = f"algebra {alg.name!r}: size {alg.size}, {len(alg.operations)} operations, valid"
-    if config.system_path is not None:
-        system = parse_system(_read(config.system_path))
+    if args.system is not None:
+        system = parse_system(_read(args.system))
         check_system(alg, system)
         doc["system"] = {"s": system.s, "n": system.n}
         human += f"\nsystem: {system.s} equations over x1..x{system.n}, valid"
-    _emit(config, doc, human)
+    _emit(args, doc, human)
     return EXIT_OK
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "brute": _cmd_brute,
-    "bench": _cmd_bench,
-    "bound": _cmd_bound,
-    "malcev": _cmd_malcev,
-    "absorb": _cmd_absorb,
-    "reduce-witness": _cmd_reduce_witness,
-    "validate": _cmd_validate,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one configured command; exceptions map to exit codes."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one parsed command line; exceptions map to exit codes."""
     try:
-        return _HANDLERS[config.command](config)
+        return args.handler(args)
     except TheoremViolation as exc:
         print(f"theorem violation (implementation bug): {exc}", file=sys.stderr)
         return EXIT_THEOREM_VIOLATION
@@ -328,10 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system=True):
+    def common(p):
         p.add_argument("--algebra", required=True, help="algebra JSON file")
-        if system:
-            p.add_argument("--system", required=True, help="equation system file")
+        p.add_argument("--system", required=True, help="equation system file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--deterministic",
@@ -341,68 +317,53 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("solve", help="bounded-weight solver")
+    p.set_defaults(handler=_cmd_solve)
     common(p)
     p.add_argument("--zero", type=int, default=0, help="base element z (default 0)")
     p.add_argument("--bound", type=int, default=None, help="override the weight bound")
 
     p = sub.add_parser("brute", help="exhaustive oracle solver")
+    p.set_defaults(handler=_cmd_brute)
     common(p)
 
     p = sub.add_parser("bench", help="run both solvers and compare")
+    p.set_defaults(handler=_cmd_bench)
     common(p)
     p.add_argument("--zero", type=int, default=0)
 
     p = sub.add_parser("bound", help="print the weight-bound report as JSON")
+    p.set_defaults(handler=_cmd_bound)
     p.add_argument("--algebra", required=True)
     p.add_argument("-s", "--equations", dest="s", type=int, default=1, help="equation count")
     p.add_argument("-n", "--variables", dest="n", type=int, default=None, help="variable count")
 
     p = sub.add_parser("malcev", help="search the ternary term clone for a Mal'cev term")
+    p.set_defaults(handler=_cmd_malcev)
     p.add_argument("--algebra", required=True)
     p.add_argument("--constants", action="store_true", help="allow polynomial (not just term) operations")
     p.add_argument("--cap", type=int, default=10**6, help="closure size cap")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("absorb", help="absorbing decomposition of a tabulated function")
+    p.set_defaults(handler=_cmd_absorb)
     p.add_argument("--function", required=True, help="tabulated-function JSON file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reduce-witness", help="find a weight-reduction witness set U")
+    p.set_defaults(handler=_cmd_reduce_witness)
     p.add_argument("--input", required=True, help="JSON description of phi or (fs, a, k)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("validate", help="validate input files")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("--algebra", required=True)
     p.add_argument("--system", default=None)
     p.add_argument("--json", action="store_true")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        algebra_path=getattr(args, "algebra", None),
-        system_path=getattr(args, "system", None),
-        zero=getattr(args, "zero", 0),
-        bound_override=getattr(args, "bound", None),
-        deterministic=getattr(args, "deterministic", True),
-        json=getattr(args, "json", False),
-        s=getattr(args, "s", 1),
-        n=getattr(args, "n", None),
-        include_constants=getattr(args, "constants", False),
-        cap=getattr(args, "cap", 10**6),
-        function_path=getattr(args, "function", None),
-        input_path=getattr(args, "input", None),
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    if config.bound_override is not None and config.bound_override < 0:
-        print("error: --bound must be >= 0", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

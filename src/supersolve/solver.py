@@ -33,15 +33,15 @@ from math import comb
 
 import numpy as np
 
-from .algebra import AlgebraError, FiniteAlgebra, max_arity
+from .algebra import FiniteAlgebra, max_arity
 from .bounds import make_bound_report
 from .malcev import TernaryFunctionTable, is_malcev
 from .terms import (
     Const,
     EquationSystem,
-    EvalError,
     Term,
     Var,
+    check_system,
     eval_term,
     substitute,
     term_length,
@@ -136,6 +136,7 @@ class _CompiledSystem:
     def __init__(self, alg: FiniteAlgebra, system: EquationSystem):
         if system.s < 1:
             raise ValueError("system must contain at least one equation")
+        check_system(alg, system)
         self.size = alg.size
         self.n = system.n
         dtype = _carrier(alg.size)
@@ -143,32 +144,23 @@ class _CompiledSystem:
         self.equations = []
         self.costs = []
         for lhs, rhs in system.equations:
-            self.equations.append((self._compile(alg, tables, lhs), self._compile(alg, tables, rhs)))
+            self.equations.append((self._compile(tables, lhs), self._compile(tables, rhs)))
             self.costs.append(term_length(lhs) + term_length(rhs))
 
     @staticmethod
-    def _compile(alg, tables, term: Term):
+    def _compile(tables, term: Term):
+        """Lower a checked term to a postfix program."""
         prog = []
 
         def walk(t):
             if isinstance(t, Var):
                 prog.append(("var", t.index - 1))
             elif isinstance(t, Const):
-                if not 0 <= t.value < alg.size:
-                    raise EvalError(
-                        f"constant #{t.value} out of range [0, {alg.size})"
-                    )
                 prog.append(("const", t.value))
             else:
-                op = alg.operation(t.op)
-                if len(t.args) != op.arity:
-                    raise AlgebraError(
-                        f"operation {t.op!r} has arity {op.arity}, "
-                        f"got {len(t.args)} arguments"
-                    )
                 for a in t.args:
                     walk(a)
-                prog.append(("op", tables[t.op], op.arity))
+                prog.append(("op", tables[t.op], len(t.args)))
 
         walk(term)
         return prog

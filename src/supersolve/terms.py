@@ -204,6 +204,8 @@ def format_system(system: EquationSystem) -> str:
 def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
     """Bottom-up evaluation of t at the given assignment vector."""
     if isinstance(t, Var):
+        if t.index < 1:
+            raise EvalError(f"variable index must be >= 1, got {t.index}")
         if t.index > len(assignment):
             raise EvalError(
                 f"variable x{t.index} beyond assignment of length {len(assignment)}"
@@ -241,8 +243,12 @@ def substitute(t: Term, mapping: dict[int, Term]) -> Term:
 
 
 def check_term(alg: FiniteAlgebra, t: Term) -> None:
-    """Static validation: ops exist, arities match, constants in range."""
-    if isinstance(t, Const):
+    """Static validation: ops exist, arities match, variable indices are
+    1-based, constants in range."""
+    if isinstance(t, Var):
+        if t.index < 1:
+            raise EvalError(f"variable index must be >= 1, got {t.index}")
+    elif isinstance(t, Const):
         if not 0 <= t.value < alg.size:
             raise EvalError(f"constant #{t.value} out of range [0, {alg.size})")
     elif isinstance(t, App):

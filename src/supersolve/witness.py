@@ -58,22 +58,13 @@ class SubsetFunction:
 
 
 def _masks_upto(n: int, k: int) -> list[int]:
-    out = []
-    for size in range(min(k, n) + 1):
-        for idxs in combinations(range(n), size):
-            out.append(sum(1 << i for i in idxs))
-    return out
-
-
-def _candidates(n: int, max_size: int):
-    """Subsets of [n] with |U| <= max_size: size ascending, then mask ascending."""
-    by_size: list[list[int]] = [[] for _ in range(max_size + 1)]
-    for idxs_size in range(max_size + 1):
-        for idxs in combinations(range(n), idxs_size):
-            by_size[idxs_size].append(sum(1 << i for i in idxs))
-    for group in by_size:
-        group.sort()
-        yield from group
+    """Subsets of [n] with |U| <= k as bitmasks: size ascending, then mask ascending."""
+    masks = [
+        sum(1 << i for i in idxs)
+        for size in range(min(k, n) + 1)
+        for idxs in combinations(range(n), size)
+    ]
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def _vec_add(a, b, p):
@@ -91,7 +82,7 @@ def ks_find_u(phi: SubsetFunction) -> int:
         total = _vec_add(total, vec, p)
     bound = min(phi.n, phi.k * phi.m * (p - 1))
     items = list(phi.values.items())
-    for u in _candidates(phi.n, bound):
+    for u in _masks_upto(phi.n, bound):
         partial = (0,) * phi.m
         for mask, vec in items:
             if mask & ~u == 0:
@@ -132,7 +123,7 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
         raise ValueError(f"point {a} has a coordinate outside [0, {size})")
     targets = [f(a) for f in fs]
     bound = min(n, k * len(fs) * (p - 1))
-    for u in _candidates(n, bound):
+    for u in _masks_upto(n, bound):
         restricted = restrict_vector(a, u)
         if all(f(restricted) == t for f, t in zip(fs, targets)):
             return u

@@ -85,6 +85,8 @@ def _check_decomposition(f):
     points = all_points(f.domain_size, f.arity)
     for mask, comp in dec.components.items():
         assert is_absorbing_in(comp, mask), (f.table, mask)
+        # a proper mask fixes the coordinates outside it before the transform
+        assert component_recursive(f, mask) == comp, (f.table, mask)
     for idx, a in enumerate(points):
         total = sum(comp.table[idx] for comp in dec.components.values()) % f.prime
         assert total == f.table[idx]
@@ -107,8 +109,11 @@ def test_reconstruction_exhaustive_two_element_domain():
 
 def test_reconstruction_random_larger_domains():
     rng = random.Random(42)
-    for size, n, p in [(3, 2, 2), (3, 3, 3), (2, 4, 2), (3, 4, 2), (3, 3, 5)]:
-        for _ in range(25):
+    for size, n, p, reps in [
+        (3, 2, 2, 25), (3, 3, 3, 25), (2, 4, 2, 25), (3, 4, 2, 25), (3, 3, 5, 25),
+        (3, 5, 2, 3), (2, 6, 3, 3),
+    ]:
+        for _ in range(reps):
             table = tuple(rng.randrange(p) for _ in range(size**n))
             _check_decomposition(TabulatedFunction(size, n, p, table))
 

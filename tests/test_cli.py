@@ -247,13 +247,12 @@ def test_bench_satisfiable_exit_code(tmp_path, capsys, z2_file):
 
 
 def test_negative_bound_rejected(tmp_path, capsys, z4_file):
-    sys_path = _system_file(tmp_path, "x1 = #0\n")
-    code, _, err = run_cli(
+    # rejected before any file is read: the system file does not exist
+    sys_path = str(tmp_path / "nope.txt")
+    assert run_cli(
         capsys,
         ["solve", "--algebra", z4_file, "--system", sys_path, "--bound", "-1"],
-    )
-    assert code == 2
-    assert "--bound" in err
+    ) == (2, "", "error: --bound must be >= 0\n")
 
 
 def test_bound_override_used(tmp_path, capsys, z2_file):
@@ -335,3 +334,106 @@ def test_reduce_witness_rejects_malformed_file(tmp_path, capsys, doc, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# Golden bytes: stdout and exit code of one --json run per subcommand on
+# fixed inputs, so a change to the CLI plumbing cannot change its output.
+_GOLDEN_FILES = {
+    "z4.json": render_algebra(cyclic_group(4)),
+    "z2.json": render_algebra(cyclic_group(2)),
+    "lat.json": render_algebra(two_element_lattice()),
+    "sat.txt": "add(add(x1, x2), x3) = #3\nadd(x1, neg(x2)) = #1\n",
+    "cond.txt": "add(x6, x6) = #1\n",
+    "exh.txt": "add(x1, x1) = #1\n",
+    "f.json": json.dumps(
+        {"domain_size": 3, "arity": 2, "prime": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 0]}
+    ),
+    "ks.json": json.dumps({
+        "mode": "ks", "n": 3, "k": 1, "p": 3, "m": 1,
+        "phi": {"0": [2], "1": [1], "2": [2], "4": [1]},
+    }),
+    "red.json": json.dumps({
+        "mode": "redweight", "k": 2, "a": [2, 1, 1],
+        "functions": [
+            {"domain_size": 3, "arity": 3, "prime": 2,
+             "table": [(bool(a and b) + (c == 2)) % 2
+                       for a in range(3) for b in range(3) for c in range(3)]},
+        ],
+    }),
+}
+
+_GOLDEN = [
+    (["solve", "--algebra", "z4.json", "--system", "sat.txt", "--json"], 0,
+      '{"schema":"supersolve/1","command":"solve","algebra":"Z4","n":3,"s":2,'
+      '"zero":0,"verdict":{"kind":"solution_found","assignment":[0,3,0],'
+      '"verified":true},"stats":{"candidates_tested":7,'
+      '"term_evaluations":52}}\n'),
+    (["solve", "--algebra", "z2.json", "--system", "cond.txt", "--json"], 1,
+      '{"schema":"supersolve/1","command":"solve","algebra":"Z2","n":6,"s":1,'
+      '"zero":0,"verdict":{"kind":"no_solution_in_bounded_set","bound":1,'
+      '"conditional":true},"stats":{"candidates_tested":7,'
+      '"term_evaluations":28}}\n'),
+    (["solve", "--algebra", "z2.json", "--system", "exh.txt", "--json"], 1,
+      '{"schema":"supersolve/1","command":"solve","algebra":"Z2","n":1,"s":1,'
+      '"zero":0,"verdict":{"kind":"no_solution_exhaustive"},'
+      '"stats":{"candidates_tested":2,"term_evaluations":8}}\n'),
+    (["solve", "--algebra", "z4.json", "--system", "sat.txt", "--zero", "2",
+      "--bound", "1", "--json"], 0,
+      '{"schema":"supersolve/1","command":"solve","algebra":"Z4","n":3,"s":2,'
+      '"zero":2,"verdict":{"kind":"solution_found","assignment":[3,2,2],'
+      '"verified":true},"stats":{"candidates_tested":4,'
+      '"term_evaluations":29}}\n'),
+    (["brute", "--algebra", "z4.json", "--system", "sat.txt", "--json"], 0,
+      '{"schema":"supersolve/1","command":"brute","algebra":"Z4","n":3,"s":2,'
+      '"verdict":{"kind":"solution_found","assignment":[0,3,0],'
+      '"verified":true},"stats":{"candidates_tested":13,'
+      '"term_evaluations":98}}\n'),
+    (["bench", "--algebra", "z2.json", "--system", "cond.txt", "--json"], 1,
+      '{"schema":"supersolve/1","command":"bench","algebra":"Z2","n":6,"s":1,'
+      '"agree":true,'
+      '"bounded":{"verdict":{"kind":"no_solution_in_bounded_set","bound":1,'
+      '"conditional":true},"stats":{"candidates_tested":7,'
+      '"term_evaluations":28}},'
+      '"brute":{"verdict":{"kind":"no_solution_exhaustive"},'
+      '"stats":{"candidates_tested":64,"term_evaluations":256}}}\n'),
+    (["bound", "--algebra", "z4.json", "-s", "2", "-n", "5"], 0,
+      '{"schema":"supersolve/1","command":"bound","algebra":"Z4","mu":2,'
+      '"cardinality":4,"s":2,"n":5,"factorization":[[2,2]],"k_list":[6],'
+      '"tight_bound":24,"loose_bound":512,"effective_bound":5,"e":513,'
+      '"note":"bounds assume the algebra is supernilpotent"}\n'),
+    (["malcev", "--algebra", "z4.json", "--json"], 0,
+      '{"schema":"supersolve/1","command":"malcev","algebra":"Z4",'
+      '"found":true,"witness":"add(add(x1, x3), neg(x2))","table":[0,1,2,3,3,'
+      '0,1,2,2,3,0,1,1,2,3,0,1,2,3,0,0,1,2,3,3,0,1,2,2,3,0,1,2,3,0,1,1,2,3,0,'
+      '0,1,2,3,3,0,1,2,3,0,1,2,2,3,0,1,1,2,3,0,0,1,2,3]}\n'),
+    (["malcev", "--algebra", "lat.json", "--constants", "--json"], 1,
+      '{"schema":"supersolve/1","command":"malcev","algebra":"lattice2",'
+      '"found":false,"complete":true,"tables_explored":20}\n'),
+    (["absorb", "--function", "f.json", "--json"], 0,
+      '{"schema":"supersolve/1","command":"absorb","domain_size":3,"arity":2,'
+      '"prime":3,"absorbing_degree":2,"components":{"0":[0,0,0,0,0,0,0,0,0],'
+      '"1":[0,0,0,1,1,1,2,2,2],"2":[0,1,2,0,1,2,0,1,2],"3":[0,0,0,0,0,0,0,0,'
+      '2]}}\n'),
+    (["reduce-witness", "--input", "ks.json", "--json"], 0,
+      '{"schema":"supersolve/1","command":"reduce-witness","mode":"ks",'
+      '"witness":[1],"witness_mask":1,"size":1,"bound":2}\n'),
+    (["reduce-witness", "--input", "red.json", "--json"], 0,
+      '{"schema":"supersolve/1","command":"reduce-witness",'
+      '"mode":"redweight","witness":[1,2],"witness_mask":3,"size":2,'
+      '"bound":2}\n'),
+    (["validate", "--algebra", "z4.json", "--system", "sat.txt", "--json"], 0,
+      '{"schema":"supersolve/1","command":"validate","algebra":"Z4","size":4,'
+      '"operations":[{"name":"add","arity":2},{"name":"neg","arity":1},'
+      '{"name":"zero","arity":0}],"ok":true,"system":{"s":2,"n":3}}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout", _GOLDEN, ids=[f"{i}-{argv[0]}" for i, (argv, _, _) in enumerate(_GOLDEN)]
+)
+def test_golden_cli_bytes(tmp_path, capsys, argv, code, stdout):
+    for name, text in _GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _GOLDEN_FILES else a for a in argv]
+    assert run_cli(capsys, argv) == (code, stdout, "")
+

@@ -18,7 +18,17 @@ from supersolve.solver import (
     solve_bounded,
     solve_brute,
 )
-from supersolve.terms import EquationSystem, eval_term, parse_system, term_length
+from supersolve.terms import (
+    App,
+    Const,
+    EquationSystem,
+    EvalError,
+    Var,
+    check_system,
+    eval_term,
+    parse_system,
+    term_length,
+)
 
 from sampling import random_system
 
@@ -130,6 +140,27 @@ def test_errors_propagate(z4):
         solve_brute(z4, EquationSystem(()))
     with pytest.raises(ValueError, match="out of range"):
         solve_bounded(z4, parse_system("x1 = #0"), z=7)
+    # the solver validates through check_system, so it raises the same type
+    bad_arity = parse_system("add(x1) = #0")
+    with pytest.raises(ValueError) as checked:
+        check_system(z4, bad_arity)
+    with pytest.raises(ValueError) as solved:
+        solve_bounded(z4, bad_arity)
+    assert type(solved.value) is type(checked.value)
+
+
+def test_variable_index_below_one_rejected(z4):
+    # the parser rejects x0; a system built in code must be rejected too,
+    # not read as the last column
+    system = EquationSystem(((App("add", (Var(0), Var(2))), Const(1)),))
+    with pytest.raises(EvalError, match="must be >= 1"):
+        check_system(z4, system)
+    with pytest.raises(EvalError, match="must be >= 1"):
+        solve_bounded(z4, system)
+    with pytest.raises(EvalError, match="must be >= 1"):
+        solve_brute(z4, system)
+    with pytest.raises(EvalError, match="must be >= 1"):
+        eval_term(z4, Var(0), (1, 2))
 
 
 def _reference_scan(alg, system, candidates):
