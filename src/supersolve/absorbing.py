@@ -14,9 +14,11 @@ tabulating if another element should absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from .algebra import table_index
 from .bounds import is_prime
 
 DEFAULT_POINT_BUDGET = 2**20
@@ -45,31 +47,21 @@ class TabulatedFunction:
             raise ValueError(
                 f"table length {len(self.table)}, expected {expected}"
             )
-        for j, v in enumerate(self.table):
-            if not 0 <= v < self.prime:
-                raise ValueError(f"table[{j}] value {v} not in [0, {self.prime})")
+        # two C-level reductions; a tuple converts to numpy slower than this
+        if min(self.table) < 0 or max(self.table) >= self.prime:
+            j = next(j for j, v in enumerate(self.table) if not 0 <= v < self.prime)
+            raise ValueError(f"table[{j}] value {self.table[j]} not in [0, {self.prime})")
 
     @classmethod
     def from_callable(cls, domain_size, arity, prime, func) -> "TabulatedFunction":
-        points = _points(domain_size, arity)
+        points = product(range(domain_size), repeat=arity)
         return cls(domain_size, arity, prime, tuple(func(a) % prime for a in points))
 
     def __call__(self, args) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * self.domain_size + a
-        return self.table[idx]
+        return self.table[table_index(args, self.domain_size)]
 
     def is_zero(self) -> bool:
         return not any(self.table)
-
-
-def _points(size: int, arity: int):
-    """All argument tuples in row-major (lexicographic) order."""
-    out = [()]
-    for _ in range(arity):
-        out = [p + (a,) for p in out for a in range(size)]
-    return out
 
 
 def restrict_vector(a, mask: int, zero: int = 0) -> tuple[int, ...]:
@@ -114,13 +106,18 @@ def _check_mask(f: TabulatedFunction, mask: int):
         raise ValueError(f"mask {mask} names coordinates beyond arity {f.arity}")
 
 
+def _tensor(f: TabulatedFunction) -> np.ndarray:
+    """The table as an |A| x ... x |A| array, one axis per coordinate."""
+    return np.asarray(f.table, dtype=np.int64).reshape((f.domain_size,) * f.arity)
+
+
 def _components_upto(f: TabulatedFunction, top: int) -> dict[int, TabulatedFunction]:
     """Components f_J for every J <= top, by the per-coordinate subset-lattice
     (fast Moebius) transform on the |A|^n value tensor: with every coordinate
     outside top fixed at 0, each coordinate j in top splits every component g
     into g(a_j = 0), which does not contain j, and g - g(a_j = 0), which does.
     Cost O(|top| * 2^|top| * |A|^n) in numpy."""
-    t = np.asarray(f.table, dtype=np.int64).reshape((f.domain_size,) * f.arity)
+    t = _tensor(f)
     for j in range(f.arity):
         if not top >> j & 1:
             t = np.broadcast_to(t.take([0], axis=j), t.shape)
@@ -204,23 +201,11 @@ def is_absorbing_in(f: TabulatedFunction, mask: int) -> bool:
     """True iff f depends only on coordinates in the mask and vanishes
     whenever some masked coordinate is 0."""
     _check_mask(f, mask)
-    size, n = f.domain_size, f.arity
-    points = _points(size, n)
-    # dependence: no coordinate outside the mask may matter
-    for j in range(n):
+    t = _tensor(f)
+    for j in range(f.arity):
         if mask >> j & 1:
-            continue
-        stride = size ** (n - 1 - j)
-        for idx, a in enumerate(points):
-            if a[j] != 0:
-                continue
-            base = f.table[idx]
-            for v in range(1, size):
-                if f.table[idx + v * stride] != base:
-                    return False
-    # absorption at each masked coordinate
-    for idx, a in enumerate(points):
-        if any(a[j] == 0 for j in range(n) if mask >> j & 1):
-            if f.table[idx] != 0:
+            if t.take(0, axis=j).any():
                 return False
+        elif not (t == t.take([0], axis=j)).all():
+            return False
     return True

@@ -4,7 +4,9 @@ An algebra lives on the carrier ``{0, ..., size-1}``.  Each operation is a
 flat, row-major value table: the entry for arguments ``(a_1, ..., a_r)``
 sits at index ``sum(a_i * size**(r-i))``, and a nullary operation is a
 table of length one.  This layout is normative for the JSON file format
-(see :func:`load_algebra`) and is shared by every table in the package.
+(see :func:`load_algebra`) and is shared by every table in the package:
+:func:`table_index` and :func:`digits` are its one implementation, for
+single lookups and numpy batches alike.
 """
 
 from __future__ import annotations
@@ -13,9 +15,40 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 
 class AlgebraError(ValueError):
     """Malformed input file or invalid operation-table data."""
+
+
+def table_index(args, size: int):
+    """Row-major index of an argument tuple in a table over size elements.
+
+    Each argument is an int or an integer numpy array; arrays are widened
+    once to np.intp, and the index is accumulated in place.
+    """
+    idx = 0
+    for a in args:
+        if isinstance(a, np.ndarray) and not isinstance(idx, np.ndarray):
+            idx, offset = a.astype(np.intp), idx * size
+            if offset:
+                idx += offset
+        else:
+            idx *= size
+            idx += a
+    return idx
+
+
+def digits(start: int, stop: int, base: int, width: int, dtype) -> np.ndarray:
+    """Rows start..stop-1 of itertools.product(range(base), repeat=width),
+    as a column-major (stop - start, width) array: the argument tuples at
+    those row-major table indices."""
+    ranks = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=dtype, order="F")
+    for t in range(width):
+        out[:, t] = ranks // base ** (width - 1 - t) % base
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,12 +111,10 @@ def apply_op(alg: FiniteAlgebra, name: str, args) -> int:
         raise AlgebraError(
             f"operation {name!r} has arity {op.arity}, got {len(args)} arguments"
         )
-    idx = 0
     for a in args:
         if not 0 <= a < alg.size:
             raise AlgebraError(f"argument {a!r} out of range [0, {alg.size})")
-        idx = idx * alg.size + a
-    return op.table[idx]
+    return op.table[table_index(args, alg.size)]
 
 
 def max_arity(alg: FiniteAlgebra) -> int:
@@ -104,26 +135,13 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
             f"signature mismatch: {a.name} has {sig_a}, {b.name} has {sig_b}"
         )
     size = a.size * b.size
-
-    def decode(e):
-        return e // b.size, e % b.size
-
     ops = []
     for op_a, op_b in zip(a.operations, b.operations):
-        r = op_a.arity
-        table = []
-        # row-major iteration over argument tuples of the product carrier
-        args = [0] * r
-        for idx in range(size**r):
-            rest = idx
-            for pos in range(r - 1, -1, -1):
-                args[pos] = rest % size
-                rest //= size
-            xs = [decode(e) for e in args]
-            va = apply_op(a, op_a.name, [x for x, _ in xs])
-            vb = apply_op(b, op_b.name, [y for _, y in xs])
-            table.append(va * b.size + vb)
-        ops.append(OperationTable(op_a.name, r, tuple(table)))
+        args = digits(0, size**op_a.arity, size, op_a.arity, np.intp)
+        va = np.asarray(op_a.table)[table_index((args // b.size).T, a.size)]
+        vb = np.asarray(op_b.table)[table_index((args % b.size).T, b.size)]
+        table = np.ravel(va * b.size + vb).tolist()
+        ops.append(OperationTable(op_a.name, op_a.arity, tuple(table)))
     return FiniteAlgebra(name or f"{a.name}x{b.name}", size, tuple(ops))
 
 

@@ -22,14 +22,7 @@ import mpmath
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(cardinality: int) -> list[tuple[int, int]]:
@@ -129,6 +122,8 @@ def make_bound_report(
     """All bound figures in one record; effective_bound = min(n, tight)."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    if n is not None and n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     factors = factorize(cardinality)
     ks = _k_list(mu, factors, overrides)
     tight = s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import absorbing, solver, witness
-from .algebra import AlgebraError, FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
+from .algebra import FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
 from .bounds import make_bound_report
 from .malcev import MalcevNotFound, find_malcev
 from .solver import (
@@ -29,7 +29,7 @@ from .solver import (
     SolutionFound,
     SolveOutcome,
 )
-from .terms import EvalError, ParseError, check_system, format_term, parse_system
+from .terms import check_system, format_term, parse_system
 from .witness import TheoremViolation
 
 SCHEMA = "supersolve/1"
@@ -39,7 +39,7 @@ EXIT_NO_SOLUTION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_THEOREM_VIOLATION = 3
 
-_INPUT_ERRORS = (AlgebraError, ParseError, EvalError, ValueError, OSError)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _read(path: str) -> str:
@@ -309,12 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True, help="algebra JSON file")
         p.add_argument("--system", required=True, help="equation system file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--deterministic",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="byte-stable output: bench omits its timing fields (default on)",
-        )
 
     p = sub.add_parser("solve", help="bounded-weight solver")
     p.set_defaults(handler=_cmd_solve)
@@ -330,6 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bench)
     common(p)
     p.add_argument("--zero", type=int, default=0)
+    p.add_argument(
+        "--deterministic",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="byte-stable output: omit the timing fields (default on)",
+    )
 
     p = sub.add_parser("bound", help="print the weight-bound report as JSON")
     p.set_defaults(handler=_cmd_bound)

@@ -12,11 +12,10 @@ bounds runaway closures and is reported as incompleteness, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, digits, table_index
 from .terms import App, Const, Term, Var
 
 DEFAULT_CAP = 10**6
@@ -32,7 +31,7 @@ class TernaryFunctionTable:
     witness: Term
 
     def __call__(self, x: int, y: int, z: int) -> int:
-        return self.table[(x * self.size + y) * self.size + z]
+        return self.table[table_index((x, y, z), self.size)]
 
 
 @dataclass(frozen=True)
@@ -45,14 +44,9 @@ class MalcevNotFound:
 
 def is_malcev(t: TernaryFunctionTable) -> bool:
     """d(x,y,y) = x and d(x,x,y) = y for all x, y."""
-    s = t.size
-    for x in range(s):
-        for y in range(s):
-            if t.table[(x * s + y) * s + y] != x:
-                return False
-            if t.table[(x * s + x) * s + y] != y:
-                return False
-    return True
+    return all(
+        t(x, y, y) == x and t(x, x, y) == y for x in range(t.size) for y in range(t.size)
+    )
 
 
 class _Closure:
@@ -62,20 +56,17 @@ class _Closure:
         size = alg.size
         self.length = size**3
         self.op_arrays = [np.asarray(op.table, dtype=np.int32) for op in alg.operations]
-        pairs = [(x, y) for x in range(size) for y in range(size)]
-        self._idx_xyy = np.array([(x * size + y) * size + y for x, y in pairs])
-        self._idx_xxy = np.array([(x * size + x) * size + y for x, y in pairs])
-        self._want_x = np.array([x for x, _ in pairs])
-        self._want_y = np.array([y for _, y in pairs])
+        x, y = digits(0, size**2, size, 2, np.int32).T
+        self._idx_xyy = table_index((x, y, y), size)
+        self._idx_xxy = table_index((x, x, y), size)
+        self._want_x, self._want_y = x, y
         self.tables: list[np.ndarray] = []
         self.witnesses: list[Term] = []
         self.layer: list[int] = []
         self.seen: set[bytes] = set()
         self.malcev_index: int | None = None
-        grid = np.arange(self.length, dtype=np.int32)
-        self.add(grid // size**2 % size, Var(1), 0)
-        self.add(grid // size % size, Var(2), 0)
-        self.add(grid % size, Var(3), 0)
+        for i, column in enumerate(digits(0, self.length, size, 3, np.int32).T):
+            self.add(column, Var(i + 1), 0)
         if include_constants:
             for c in range(size):
                 self.add(np.full(self.length, c, dtype=np.int32), Const(c), 0)
@@ -118,9 +109,10 @@ class _Closure:
                         if self._done(cap):
                             return False
                     continue
-                for batch in self._combo_batches(op.arity, snapshot, current):
-                    rows = self._apply(op_index, op.arity, batch)
-                    for row, combo in zip(rows, batch):
+                for combos, rows in self._apply_batches(op_index, op.arity, snapshot, current):
+                    for combo, row in zip(combos.tolist(), rows):
+                        if row.tobytes() in self.seen:
+                            continue
                         wit = App(op.name, tuple(self.witnesses[i] for i in combo))
                         grew |= self.add(row, wit, current + 1)
                         if self._done(cap):
@@ -129,25 +121,22 @@ class _Closure:
                 return True
             current += 1
 
-    def _combo_batches(self, arity: int, snapshot: int, current: int):
-        """Argument index tuples over tables[:snapshot] that touch the current
-        layer, in product order, grouped into batches."""
-        batch = []
-        for combo in product(range(snapshot), repeat=arity):
-            if max(self.layer[i] for i in combo) == current:
-                batch.append(combo)
-                if len(batch) >= _BATCH:
-                    yield batch
-                    batch = []
-        if batch:
-            yield batch
-
-    def _apply(self, op_index: int, arity: int, combos) -> np.ndarray:
-        size = self.alg.size
-        flat = np.stack([self.tables[c[0]] for c in combos])
-        for pos in range(1, arity):
-            flat = flat * size + np.stack([self.tables[c[pos]] for c in combos])
-        return self.op_arrays[op_index][flat]
+    def _apply_batches(self, op_index: int, arity: int, snapshot: int, current: int):
+        """The op applied to argument index tuples over tables[:snapshot] that
+        touch the current layer, in product order: (tuples, tables) batches."""
+        tables = np.stack(self.tables[:snapshot])
+        layer = np.array(self.layer[:snapshot])
+        # the leading index runs in Python, so a rank stays below
+        # snapshot**(arity-1) and its leading digit is 0 until overwritten
+        rest = snapshot ** (arity - 1)
+        for first in range(snapshot):
+            for start in range(0, rest, _BATCH):
+                combos = digits(start, min(start + _BATCH, rest), snapshot, arity, np.intp)
+                combos[:, 0] = first
+                combos = combos[layer[combos].max(axis=1) == current]
+                if len(combos):
+                    flat = table_index([tables[c] for c in combos.T], self.alg.size)
+                    yield combos, self.op_arrays[op_index][flat]
 
 
 def _to_table(closure: _Closure, i: int) -> TernaryFunctionTable:

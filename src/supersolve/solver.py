@@ -14,14 +14,16 @@ support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
 scans all of A^n lexicographically.  Both solvers evaluate terms in
 chunks through a small postfix compiler backed by numpy table gathers.
-A bounded-scan chunk packs as many whole support sets of one weight as
-fit; chunks are capped by cells as well as rows, so their memory does
-not grow with n, and candidates and tables are carried in the narrowest
-unsigned dtype that holds the carrier.  Reported statistics do not
-depend on any of this: they are exact sequential-scan equivalents,
-candidates tested until the verdict, and AST nodes evaluated, where a
-candidate evaluates equations left to right and stops at the first
-mismatch.
+A bounded-scan chunk holds one or more support sets of one weight times
+a run of their value tuples: as many whole supports as fit, or one
+support and a slice of its values when a single support's values exceed
+a chunk.  Chunks are capped by cells as well as rows, so their memory
+does not grow with n, and candidates and tables are carried in the
+narrowest unsigned dtype that holds the carrier.  Reported statistics
+do not depend on any of this: they are exact sequential-scan
+equivalents, candidates tested until the verdict, and AST nodes
+evaluated, where a candidate evaluates equations left to right and
+stops at the first mismatch.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, max_arity
+from .algebra import FiniteAlgebra, digits, max_arity, table_index
 from .bounds import make_bound_report
 from .malcev import TernaryFunctionTable, is_malcev
 from .terms import (
@@ -179,12 +181,8 @@ class _CompiledSystem:
                 if arity == 0:
                     stack.append(np.full(rows, table[0], dtype=X.dtype))
                     continue
-                args = stack[len(stack) - arity :]
+                flat = table_index(stack[len(stack) - arity :], self.size)
                 del stack[len(stack) - arity :]
-                flat = args[0].astype(np.intp)
-                for a in args[1:]:
-                    flat *= self.size
-                    flat += a
                 stack.append(table[flat])
         return stack[-1]
 
@@ -212,39 +210,21 @@ class _CompiledSystem:
 
 def _lex_chunks(n: int, size: int, chunk: int = _CHUNK):
     """All of A^n, lexicographic (leftmost coordinate most significant)."""
-    total = size**n
-    strides = [size ** (n - 1 - j) for j in range(n)]
-    dtype = _carrier(size)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        r = np.arange(start, stop, dtype=np.int64)
-        X = np.empty((stop - start, n), dtype=dtype, order="F")
-        for j in range(n):
-            X[:, j] = r // strides[j] % size
-        yield X
-        start = stop
-
-
-def _values(start: int, stop: int, weight: int, base: int, z: int, dtype) -> np.ndarray:
-    """Value tuples start..stop-1 of one support, lexicographic over the
-    non-z elements, as a (stop - start, weight) array."""
-    r = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, weight), dtype=dtype)
-    for t in range(weight):
-        digit = r // base ** (weight - 1 - t) % base
-        out[:, t] = digit + (digit >= z)
-    return out
+    total, dtype = size**n, _carrier(size)
+    for start in range(0, total, chunk):
+        yield digits(start, min(start + chunk, total), size, n, dtype)
 
 
 def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
     """The canonical bounded-weight order, in vectorized blocks.
 
-    A chunk packs as many whole support sets of one weight as fit; only a
-    weight layer whose value block alone exceeds a chunk is split within
-    each support.  Chunks hold at most 8 * chunk cells, so their memory
-    does not grow with n.  Chunks are column-major, here and in
-    _lex_chunks, so the evaluator reads each variable's column contiguously.
+    Each chunk holds `per` consecutive support sets of one weight times
+    `step` consecutive value tuples, lexicographic over the non-z elements:
+    whole supports when a support's value block fits in a chunk, otherwise
+    one support and a slice of its values.  Chunks hold at most 8 * chunk
+    cells, so their memory does not grow with n.  Chunks are column-major,
+    here and in _lex_chunks, so the evaluator reads each variable's column
+    contiguously.
     """
     base = size - 1
     dtype = _carrier(size)
@@ -253,23 +233,18 @@ def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
         block = base**weight
         if not block:
             break  # a one-element carrier has no non-z values
+        per, step = max(1, rows // block), min(block, rows)
         supports = combinations(range(n), weight)
-        if block > rows:
-            for support in supports:
-                for start in range(0, block, rows):
-                    vals = _values(start, min(start + rows, block), weight, base, z, dtype)
-                    X = np.full((n, len(vals)), z, dtype=dtype).T
-                    X[:, list(support)] = vals
-                    yield X
-            continue
-        vals = _values(0, block, weight, base, z, dtype)
-        while batch := list(islice(supports, rows // block)):
+        while batch := list(islice(supports, per)):
             S = np.array(batch, dtype=np.intp).reshape(len(batch), weight)
-            X = np.full((n, len(batch), block), z, dtype=dtype)
             picks = np.arange(len(batch))
-            for t in range(weight):
-                X[S[:, t], picks] = vals[:, t]
-            yield X.reshape(n, len(batch) * block).T
+            for start in range(0, block, step):
+                vals = digits(start, min(start + step, block), base, weight, dtype)
+                vals += vals >= z
+                X = np.full((n, len(batch), len(vals)), z, dtype=dtype)
+                for t in range(weight):
+                    X[S[:, t], picks] = vals[:, t]
+                yield X.reshape(n, len(batch) * len(vals)).T
 
 
 def _scan(compiled: _CompiledSystem, chunks):

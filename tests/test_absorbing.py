@@ -178,6 +178,13 @@ def test_validation():
         TabulatedFunction(2, 2, 2, (0, 0, 0))
     with pytest.raises(ValueError, match="not in"):
         TabulatedFunction(2, 1, 2, (0, 3))
+    # the first bad entry is named, whichever bound it breaks
+    with pytest.raises(ValueError, match=r"^table\[1\] value 5 not in \[0, 3\)$"):
+        TabulatedFunction(2, 2, 3, (0, 5, -1, 7))
+    with pytest.raises(ValueError, match=r"^table\[2\] value -1 not in \[0, 3\)$"):
+        TabulatedFunction(2, 2, 3, (0, 2, -1, 7))
+    with pytest.raises(ValueError, match=r"^table\[0\] value 2 not in \[0, 2\)$"):
+        TabulatedFunction(1, 0, 2, (2,))
 
 
 def test_abelian_polynomials_have_degree_at_most_one(z4):
@@ -194,3 +201,28 @@ def test_abelian_polynomials_have_degree_at_most_one(z4):
         )
         f = TabulatedFunction(4, n, 2, table)
         assert absorbing_degree(f) <= 1
+
+
+def _absorbing_by_definition(f, mask):
+    for a in all_points(f.domain_size, f.arity):
+        if f(a) != f(restrict_vector(a, mask)):
+            return False  # depends on a coordinate outside the mask
+        if f(a) and any(a[j] == 0 for j in range(f.arity) if mask >> j & 1):
+            return False  # does not vanish at a masked 0
+    return True
+
+
+def test_is_absorbing_in_matches_definition_on_random_functions():
+    rng = random.Random(13)
+    for _ in range(150):
+        size, n, p = rng.randint(1, 3), rng.randint(0, 3), rng.choice([2, 3, 5])
+        sparsity = rng.random()
+        f = TabulatedFunction(
+            size, n, p,
+            tuple(rng.randrange(p) if rng.random() < sparsity else 0 for _ in range(size**n)),
+        )
+        components = decompose(f).components
+        for g in [f, *components.values()]:
+            for mask in range(1 << n):
+                assert is_absorbing_in(g, mask) == _absorbing_by_definition(g, mask), (g, mask)
+        assert all(is_absorbing_in(c, mask) for mask, c in components.items())

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from supersolve.algebra import (
@@ -7,10 +8,12 @@ from supersolve.algebra import (
     FiniteAlgebra,
     OperationTable,
     apply_op,
+    digits,
     direct_product,
     load_algebra,
     max_arity,
     render_algebra,
+    table_index,
 )
 from supersolve.groups import cyclic_group
 
@@ -123,3 +126,38 @@ def test_apply_op_total_and_in_range(group_fixtures):
 def test_render_round_trip(group_fixtures, lattice):
     for alg in group_fixtures + [lattice]:
         assert load_algebra(render_algebra(alg)) == alg
+
+
+def test_table_index_and_digits_match_product():
+    for base in range(1, 5):
+        for width in range(4):
+            rows = list(itertools.product(range(base), repeat=width))
+            for args_rank, args in enumerate(rows):
+                # the layout formula of the README: sum(a_i * size**(r-i))
+                formula = sum(a * base ** (width - 1 - i) for i, a in enumerate(args))
+                assert table_index(args, base) == formula == args_rank
+            for start in range(len(rows) + 1):
+                for stop in range(start, len(rows) + 1):
+                    block = digits(start, stop, base, width, np.uint8)
+                    assert block.shape == (stop - start, width)
+                    assert block.dtype == np.uint8 and block.flags.f_contiguous
+                    assert [tuple(r) for r in block.tolist()] == rows[start:stop]
+            columns = list(digits(0, len(rows), base, width, np.uint8).T)
+            flat = table_index(columns, base)
+            if width:
+                assert flat.dtype == np.intp
+                assert flat.tolist() == list(range(len(rows)))
+            else:
+                assert flat == 0
+
+
+def test_table_index_widens_narrow_arrays():
+    top = np.array([255, 0], dtype=np.uint8)
+    assert table_index((top, top), 256).tolist() == [65535, 0]
+    # an int before the first array: the array is still widened, not wrapped
+    assert table_index((255, top), 256).tolist() == [65535, 65280]
+    assert table_index((1, 2, top), 256).tolist() == [66303, 66048]
+    # arguments are read, never accumulated into
+    first = np.array([1, 2], dtype=np.intp)
+    table_index((first, first), 3)
+    assert first.tolist() == [1, 2]

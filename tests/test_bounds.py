@@ -71,6 +71,9 @@ def test_make_bound_report_examples():
     assert make_bound_report(1, 2, 2, n=10).effective_bound == 1
     assert make_bound_report(1, 2, 4, n=100).effective_bound == 12
     assert make_bound_report(1, 2, 4).effective_bound == 12
+    assert make_bound_report(1, 2, 4, n=0).effective_bound == 0
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        make_bound_report(1, 2, 4, n=-1)
 
 
 def test_bound_report_invariants_sweep():

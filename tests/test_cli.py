@@ -437,3 +437,18 @@ def test_golden_cli_bytes(tmp_path, capsys, argv, code, stdout):
     argv = [str(tmp_path / a) if a in _GOLDEN_FILES else a for a in argv]
     assert run_cli(capsys, argv) == (code, stdout, "")
 
+
+
+def test_bound_negative_n_rejected(capsys, z4_file):
+    assert run_cli(capsys, ["bound", "--algebra", z4_file, "-n", "-5"]) == (
+        2, "", "error: n must be >= 0, got -5\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "brute"])
+def test_deterministic_flag_is_bench_only(tmp_path, capsys, z4_file, command):
+    sys_path = _system_file(tmp_path, "x1 = #1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--algebra", z4_file, "--system", sys_path, "--no-deterministic"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-deterministic" in capsys.readouterr().err
