@@ -43,11 +43,17 @@ def table_index(args, size: int):
 def digits(start: int, stop: int, base: int, width: int, dtype) -> np.ndarray:
     """Rows start..stop-1 of itertools.product(range(base), repeat=width),
     as a column-major (stop - start, width) array: the argument tuples at
-    those row-major table indices."""
+    those row-major table indices.
+
+    A column whose place value is at least stop holds only zeros; it is
+    not computed, since that place value may not fit in int64.
+    """
     ranks = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=dtype, order="F")
+    out = np.zeros((stop - start, width), dtype=dtype, order="F")
     for t in range(width):
-        out[:, t] = ranks // base ** (width - 1 - t) % base
+        place = base ** (width - 1 - t)
+        if place < stop:
+            out[:, t] = ranks // place % base
     return out
 
 

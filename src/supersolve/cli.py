@@ -47,8 +47,11 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _emit(args: argparse.Namespace, doc: dict, human: str) -> None:
-    if args.json:
+def _emit(args: argparse.Namespace, doc: dict, human: str | None = None) -> None:
+    """Print the human text, or doc as one JSON line behind the schema and
+    command header under --json or when the command has no human text."""
+    if human is None or args.json:
+        doc = {"schema": SCHEMA, "command": args.command, **doc}
         print(json.dumps(doc, separators=(",", ":"), sort_keys=False))
     else:
         print(human)
@@ -104,7 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     alg, system = _load_inputs(args)
     outcome = solver.solve_bounded(alg, system, z=args.zero, bound=args.bound)
-    doc = {"schema": SCHEMA, "command": "solve", "algebra": alg.name, "n": system.n, "s": system.s, "zero": args.zero}
+    doc = {"algebra": alg.name, "n": system.n, "s": system.s, "zero": args.zero}
     doc.update(_verdict_doc(outcome))
     _emit(args, doc, _verdict_text(outcome))
     return EXIT_OK if outcome.satisfiable else EXIT_NO_SOLUTION
@@ -113,7 +116,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_brute(args: argparse.Namespace) -> int:
     alg, system = _load_inputs(args)
     outcome = solver.solve_brute(alg, system)
-    doc = {"schema": SCHEMA, "command": "brute", "algebra": alg.name, "n": system.n, "s": system.s}
+    doc = {"algebra": alg.name, "n": system.n, "s": system.s}
     doc.update(_verdict_doc(outcome))
     _emit(args, doc, _verdict_text(outcome))
     return EXIT_OK if outcome.satisfiable else EXIT_NO_SOLUTION
@@ -123,8 +126,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     alg, system = _load_inputs(args)
     result = solver.bench(alg, system, z=args.zero)
     doc = {
-        "schema": SCHEMA,
-        "command": "bench",
         "algebra": alg.name,
         "n": system.n,
         "s": system.s,
@@ -148,8 +149,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     alg = load_algebra(_read(args.algebra))
     report = make_bound_report(args.s, max_arity(alg), alg.size, n=args.n)
     doc = {
-        "schema": SCHEMA,
-        "command": "bound",
         "algebra": alg.name,
         "mu": report.mu,
         "cardinality": report.cardinality,
@@ -163,8 +162,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "e": report.e,
         "note": "bounds assume the algebra is supernilpotent",
     }
-    # the bound report is always machine-readable
-    print(json.dumps(doc, separators=(",", ":"), sort_keys=False))
+    _emit(args, doc)
     return EXIT_OK
 
 
@@ -173,8 +171,6 @@ def _cmd_malcev(args: argparse.Namespace) -> int:
     result = find_malcev(alg, include_constants=args.constants, cap=args.cap)
     if isinstance(result, MalcevNotFound):
         doc = {
-            "schema": SCHEMA,
-            "command": "malcev",
             "algebra": alg.name,
             "found": False,
             "complete": result.complete,
@@ -188,8 +184,6 @@ def _cmd_malcev(args: argparse.Namespace) -> int:
         _emit(args, doc, human)
         return EXIT_NO_SOLUTION
     doc = {
-        "schema": SCHEMA,
-        "command": "malcev",
         "algebra": alg.name,
         "found": True,
         "witness": format_term(result.witness),
@@ -215,8 +209,7 @@ def _load_function(raw, where: str = "") -> absorbing.TabulatedFunction:
 def _cmd_absorb(args: argparse.Namespace) -> int:
     f = _load_function(parse_json(_read(args.function)))
     decomposition = absorbing.decompose(f)
-    doc = {"schema": SCHEMA, "command": "absorb"}
-    doc.update(decomposition.to_json_dict())
+    doc = decomposition.to_json_dict()
     human = "absorbing degree: {}\n".format(doc["absorbing_degree"]) + "\n".join(
         f"  {mask}: {table}" for mask, table in doc["components"].items()
     )
@@ -253,8 +246,6 @@ def _cmd_reduce_witness(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown mode {mode!r}; expected 'ks' or 'redweight'")
     indices = absorbing.mask_indices(u)
     doc = {
-        "schema": SCHEMA,
-        "command": "reduce-witness",
         "mode": mode,
         "witness": indices,
         "witness_mask": u,
@@ -268,8 +259,6 @@ def _cmd_reduce_witness(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     alg = load_algebra(_read(args.algebra))
     doc = {
-        "schema": SCHEMA,
-        "command": "validate",
         "algebra": alg.name,
         "size": alg.size,
         "operations": [{"name": op.name, "arity": op.arity} for op in alg.operations],
@@ -294,6 +283,10 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_THEOREM_VIOLATION
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except RecursionError:
+        # a term that parses can still nest deeper than the evaluators recurse
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

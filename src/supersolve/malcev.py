@@ -62,16 +62,15 @@ class _Closure:
         self._want_x, self._want_y = x, y
         self.tables: list[np.ndarray] = []
         self.witnesses: list[Term] = []
-        self.layer: list[int] = []
         self.seen: set[bytes] = set()
         self.malcev_index: int | None = None
         for i, column in enumerate(digits(0, self.length, size, 3, np.int32).T):
-            self.add(column, Var(i + 1), 0)
+            self.add(column, Var(i + 1))
         if include_constants:
             for c in range(size):
-                self.add(np.full(self.length, c, dtype=np.int32), Const(c), 0)
+                self.add(np.full(self.length, c, dtype=np.int32), Const(c))
 
-    def add(self, arr: np.ndarray, witness: Term, layer: int) -> bool:
+    def add(self, arr: np.ndarray, witness: Term) -> bool:
         """Register a table if unseen; track the first Mal'cev one."""
         key = arr.tobytes()
         if key in self.seen:
@@ -79,7 +78,6 @@ class _Closure:
         self.seen.add(key)
         self.tables.append(arr)
         self.witnesses.append(witness)
-        self.layer.append(layer)
         if self.stop and self.malcev_index is None and self._is_malcev_arr(arr):
             self.malcev_index = len(self.tables) - 1
         return True
@@ -94,8 +92,12 @@ class _Closure:
         return (self.stop and self.malcev_index is not None) or len(self.tables) >= cap
 
     def run(self, cap: int) -> bool:
-        """Expand to fixpoint; True iff the closure is provably complete."""
-        current = 0
+        """Expand to fixpoint; True iff the closure is provably complete.
+
+        Tables are appended in BFS order, so the current layer is always
+        tables[lo:snapshot], the tables added by the previous round.
+        """
+        lo = 0
         while True:
             if self._done(cap):
                 return False
@@ -103,29 +105,28 @@ class _Closure:
             grew = False
             for op_index, op in enumerate(self.alg.operations):
                 if op.arity == 0:
-                    if current == 0:
+                    if lo == 0:
                         arr = np.full(self.length, op.table[0], dtype=np.int32)
-                        grew |= self.add(arr, App(op.name, ()), 1)
+                        grew |= self.add(arr, App(op.name, ()))
                         if self._done(cap):
                             return False
                     continue
-                for combos, rows in self._apply_batches(op_index, op.arity, snapshot, current):
+                for combos, rows in self._apply_batches(op_index, op.arity, snapshot, lo):
                     for combo, row in zip(combos.tolist(), rows):
                         if row.tobytes() in self.seen:
                             continue
                         wit = App(op.name, tuple(self.witnesses[i] for i in combo))
-                        grew |= self.add(row, wit, current + 1)
+                        grew |= self.add(row, wit)
                         if self._done(cap):
                             return False
             if not grew:
                 return True
-            current += 1
+            lo = snapshot
 
-    def _apply_batches(self, op_index: int, arity: int, snapshot: int, current: int):
+    def _apply_batches(self, op_index: int, arity: int, snapshot: int, lo: int):
         """The op applied to argument index tuples over tables[:snapshot] that
-        touch the current layer, in product order: (tuples, tables) batches."""
+        touch tables[lo:snapshot], in product order: (tuples, tables) batches."""
         tables = np.stack(self.tables[:snapshot])
-        layer = np.array(self.layer[:snapshot])
         # the leading index runs in Python, so a rank stays below
         # snapshot**(arity-1) and its leading digit is 0 until overwritten
         rest = snapshot ** (arity - 1)
@@ -133,7 +134,7 @@ class _Closure:
             for start in range(0, rest, _BATCH):
                 combos = digits(start, min(start + _BATCH, rest), snapshot, arity, np.intp)
                 combos[:, 0] = first
-                combos = combos[layer[combos].max(axis=1) == current]
+                combos = combos[combos.max(axis=1) >= lo]
                 if len(combos):
                     flat = table_index([tables[c] for c in combos.T], self.alg.size)
                     yield combos, self.op_arrays[op_index][flat]

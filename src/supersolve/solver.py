@@ -12,18 +12,18 @@ an unconditional exhaustive verdict.
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
-scans all of A^n lexicographically.  Both solvers evaluate terms in
-chunks through a small postfix compiler backed by numpy table gathers.
+scans all of A^n lexicographically.  Both solvers evaluate the checked
+term trees on whole chunks of candidates by numpy table gathers.
 A bounded-scan chunk holds one or more support sets of one weight times
 a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
-a chunk.  Chunks are capped by cells as well as rows, so their memory
-does not grow with n, and candidates and tables are carried in the
-narrowest unsigned dtype that holds the carrier.  Reported statistics
-do not depend on any of this: they are exact sequential-scan
-equivalents, candidates tested until the verdict, and AST nodes
-evaluated, where a candidate evaluates equations left to right and
-stops at the first mismatch.
+a chunk.  Chunks of both scans are capped by cells as well as rows, so
+their memory does not grow with n, and candidates and tables are
+carried in the narrowest unsigned dtype that holds the carrier.
+Reported statistics do not depend on any of this: they are exact
+sequential-scan equivalents, candidates tested until the verdict, and
+AST nodes evaluated, where a candidate evaluates equations left to
+right and stops at the first mismatch.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def enumerate_bounded_weight(n: int, w: int, size: int, z: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation
+# vectorized scan
 
 
 def _carrier(size: int) -> np.dtype:
@@ -132,87 +132,16 @@ def _carrier(size: int) -> np.dtype:
     return np.min_scalar_type(size - 1)
 
 
-class _CompiledSystem:
-    """Postfix programs per equation plus the sequential-cost bookkeeping."""
-
-    def __init__(self, alg: FiniteAlgebra, system: EquationSystem):
-        if system.s < 1:
-            raise ValueError("system must contain at least one equation")
-        check_system(alg, system)
-        self.size = alg.size
-        self.n = system.n
-        dtype = _carrier(alg.size)
-        tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
-        self.equations = []
-        self.costs = []
-        for lhs, rhs in system.equations:
-            self.equations.append((self._compile(tables, lhs), self._compile(tables, rhs)))
-            self.costs.append(term_length(lhs) + term_length(rhs))
-
-    @staticmethod
-    def _compile(tables, term: Term):
-        """Lower a checked term to a postfix program."""
-        prog = []
-
-        def walk(t):
-            if isinstance(t, Var):
-                prog.append(("var", t.index - 1))
-            elif isinstance(t, Const):
-                prog.append(("const", t.value))
-            else:
-                for a in t.args:
-                    walk(a)
-                prog.append(("op", tables[t.op], len(t.args)))
-
-        walk(term)
-        return prog
-
-    def _eval(self, prog, X: np.ndarray) -> np.ndarray:
-        rows = X.shape[0]
-        stack: list[np.ndarray] = []
-        for instr in prog:
-            kind = instr[0]
-            if kind == "var":
-                stack.append(X[:, instr[1]])
-            elif kind == "const":
-                stack.append(np.full(rows, instr[1], dtype=X.dtype))
-            else:
-                _, table, arity = instr
-                if arity == 0:
-                    stack.append(np.full(rows, table[0], dtype=X.dtype))
-                    continue
-                flat = table_index(stack[len(stack) - arity :], self.size)
-                del stack[len(stack) - arity :]
-                stack.append(table[flat])
-        return stack[-1]
-
-    def scan_chunk(self, X: np.ndarray):
-        """Sequential-equivalent result for one candidate chunk.
-
-        Returns (index of first satisfying row or None, candidates counted,
-        AST nodes counted), as if rows were tested one by one, each
-        evaluating equations in order and stopping at the first mismatch.
-        """
-        rows = X.shape[0]
-        nodes = np.full(rows, self.costs[0], dtype=np.int64)
-        lhs, rhs = self.equations[0]
-        good = np.equal(self._eval(lhs, X), self._eval(rhs, X))
-        for t in range(1, len(self.equations)):
-            lhs, rhs = self.equations[t]
-            nodes += self.costs[t] * good
-            ok = np.equal(self._eval(lhs, X), self._eval(rhs, X))
-            good &= ok
-        if good.any():
-            j = int(good.argmax())
-            return j, j + 1, int(nodes[: j + 1].sum())
-        return None, rows, int(nodes.sum())
+def _chunk_rows(n: int, chunk: int) -> int:
+    """Rows per chunk: at most chunk rows and 8 * chunk cells."""
+    return max(1, min(chunk, 8 * chunk // max(n, 1)))
 
 
 def _lex_chunks(n: int, size: int, chunk: int = _CHUNK):
     """All of A^n, lexicographic (leftmost coordinate most significant)."""
-    total, dtype = size**n, _carrier(size)
-    for start in range(0, total, chunk):
-        yield digits(start, min(start + chunk, total), size, n, dtype)
+    total, dtype, rows = size**n, _carrier(size), _chunk_rows(n, chunk)
+    for start in range(0, total, rows):
+        yield digits(start, min(start + rows, total), size, n, dtype)
 
 
 def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
@@ -221,14 +150,14 @@ def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
     Each chunk holds `per` consecutive support sets of one weight times
     `step` consecutive value tuples, lexicographic over the non-z elements:
     whole supports when a support's value block fits in a chunk, otherwise
-    one support and a slice of its values.  Chunks hold at most 8 * chunk
-    cells, so their memory does not grow with n.  Chunks are column-major,
-    here and in _lex_chunks, so the evaluator reads each variable's column
+    one support and a slice of its values.  Chunks here and in _lex_chunks
+    hold at most 8 * chunk cells, so their memory does not grow with n,
+    and are column-major, so the evaluator reads each variable's column
     contiguously.
     """
     base = size - 1
     dtype = _carrier(size)
-    rows = max(1, min(chunk, 8 * chunk // max(n, 1)))
+    rows = _chunk_rows(n, chunk)
     for weight in range(min(w, n) + 1):
         block = base**weight
         if not block:
@@ -247,15 +176,52 @@ def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
                 yield X.reshape(n, len(batch) * len(vals)).T
 
 
-def _scan(compiled: _CompiledSystem, chunks):
-    tested = 0
-    nodes = 0
+def _check(alg: FiniteAlgebra, system: EquationSystem) -> None:
+    if system.s < 1:
+        raise ValueError("system must contain at least one equation")
+    check_system(alg, system)
+
+
+def _scan(alg: FiniteAlgebra, system: EquationSystem, chunks):
+    """The first satisfying candidate of the chunks as a re-verified
+    SolutionFound (None if there is none), and the scan's SolveStats.
+
+    Each chunk is tested whole: the checked terms are evaluated on all of
+    its rows at once by table gathers.  The stats count as if rows were
+    tested one by one, each evaluating equations in order and stopping at
+    the first mismatch.
+    """
+    dtype = _carrier(alg.size)
+    tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
+    costs = [term_length(lhs) + term_length(rhs) for lhs, rhs in system.equations]
+
+    def evaluate(t: Term, X: np.ndarray) -> np.ndarray:
+        if isinstance(t, Var):
+            return X[:, t.index - 1]
+        if isinstance(t, Const):
+            return np.full(len(X), t.value, dtype)
+        table = tables[t.op]
+        if not t.args:
+            return np.full(len(X), table[0], dtype)
+        return table[table_index([evaluate(a, X) for a in t.args], alg.size)]
+
+    tested = nodes = 0
     for X in chunks:
-        j, counted, node_count = compiled.scan_chunk(X)
-        tested += counted
-        nodes += node_count
-        if j is not None:
-            return tuple(int(v) for v in X[j]), SolveStats(tested, nodes)
+        good = np.ones(len(X), dtype=bool)
+        cost = np.zeros(len(X), dtype=np.int64)
+        for (lhs, rhs), c in zip(system.equations, costs):
+            cost += c * good
+            good &= evaluate(lhs, X) == evaluate(rhs, X)
+        if not good.any():
+            tested += len(X)
+            nodes += int(cost.sum())
+            continue
+        j = int(good.argmax())
+        solution = tuple(int(v) for v in X[j])
+        if not _verify(alg, system, solution):
+            raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
+        stats = SolveStats(tested + j + 1, nodes + int(cost[: j + 1].sum()))
+        return SolutionFound(solution, verified=True), stats
     return None, SolveStats(tested, nodes)
 
 
@@ -278,35 +244,23 @@ def solve_bounded(
     being supernilpotent unless the scan covered all of A^n."""
     if not 0 <= z < alg.size:
         raise ValueError(f"base element {z} out of range [0, {alg.size})")
-    compiled = _CompiledSystem(alg, system)
+    _check(alg, system)
     n = system.n
     if bound is None:
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    solution, stats = _scan(compiled, _weight_chunks(n, bound, alg.size, z, _CHUNK))
-    if solution is not None:
-        if not _verify(alg, system, solution):
-            raise RuntimeError(
-                f"internal error: candidate {solution} failed re-verification"
-            )
-        return SolveOutcome(SolutionFound(solution, verified=True), stats)
-    if bound >= n:
-        return SolveOutcome(NoSolutionExhaustive(), stats)
-    return SolveOutcome(NoSolutionInBoundedSet(bound=bound, conditional=True), stats)
+    found, stats = _scan(alg, system, _weight_chunks(n, bound, alg.size, z, _CHUNK))
+    if found is None:
+        found = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
+    return SolveOutcome(found, stats)
 
 
 def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
     """Full enumeration of A^n in lexicographic order; unconditional verdict."""
-    compiled = _CompiledSystem(alg, system)
-    solution, stats = _scan(compiled, _lex_chunks(system.n, alg.size, _CHUNK))
-    if solution is not None:
-        if not _verify(alg, system, solution):
-            raise RuntimeError(
-                f"internal error: candidate {solution} failed re-verification"
-            )
-        return SolveOutcome(SolutionFound(solution, verified=True), stats)
-    return SolveOutcome(NoSolutionExhaustive(), stats)
+    _check(alg, system)
+    found, stats = _scan(alg, system, _lex_chunks(system.n, alg.size, _CHUNK))
+    return SolveOutcome(found or NoSolutionExhaustive(), stats)
 
 
 def normalize_system(

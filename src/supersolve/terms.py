@@ -162,7 +162,10 @@ def _parse(scanner: _Scanner) -> Term:
 def parse_term(text: str, line: int | None = None) -> Term:
     """Parse a single term; the whole input must be consumed."""
     scanner = _Scanner(text, line)
-    term = _parse(scanner)
+    try:
+        term = _parse(scanner)
+    except RecursionError:
+        raise scanner.error("term nested too deeply") from None
     (kind, _), p = scanner.next()
     if kind != "end":
         raise scanner.error("trailing input after term", p)

@@ -149,6 +149,11 @@ def test_table_index_and_digits_match_product():
                 assert flat.tolist() == list(range(len(rows)))
             else:
                 assert flat == 0
+    # the leading place values 2**69 .. 2**63 do not fit in int64
+    rows = list(itertools.islice(itertools.product(range(2), repeat=70), 1000))
+    for start in (0, 500):
+        block = digits(start, 1000, 2, 70, np.uint8)
+        assert [tuple(r) for r in block.tolist()] == rows[start:]
 
 
 def test_table_index_widens_narrow_arrays():

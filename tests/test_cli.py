@@ -452,3 +452,31 @@ def test_deterministic_flag_is_bench_only(tmp_path, capsys, z4_file, command):
         cli.main([command, "--algebra", z4_file, "--system", sys_path, "--no-deterministic"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-deterministic" in capsys.readouterr().err
+
+
+def test_brute_past_int64_place_values(tmp_path, capsys, z2_file):
+    # 2**63 candidates: the digit columns of x1..x16 have place values
+    # beyond int64, and the all-zero first candidate already solves it
+    sys_path = _system_file(tmp_path, "add(x64, x1) = x2\n")
+    code, out, err = run_cli(
+        capsys, ["brute", "--algebra", z2_file, "--system", sys_path, "--json"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["assignment"] == [0] * 64
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_deeply_nested_term_is_input_error(tmp_path, capsys, z2_file, command):
+    sys_path = _system_file(tmp_path, "neg(" * 2000 + "x1" + ")" * 2000 + " = x1\n")
+    code, out, err = run_cli(capsys, [command, "--algebra", z2_file, "--system", sys_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: term nested too deeply at position ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "brute", "bench", "validate"])
+def test_term_nested_beyond_evaluators_is_input_error(tmp_path, capsys, z2_file, command):
+    # parses, but is deeper than the recursive term functions reach
+    sys_path = _system_file(tmp_path, "neg(" * 600 + "x1" + ")" * 600 + " = x1\n")
+    code, out, err = run_cli(capsys, [command, "--algebra", z2_file, "--system", sys_path])
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")

@@ -96,6 +96,11 @@ def test_vectorized_chunks_match_generator_order():
         chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
     assert max(len(X) for X in _weight_chunks(9, 2, 3, 1, chunk=64)) == 14 * 4
+    # the brute scan has the same cap: 8 * 16 // 10 = 12 rows per chunk
+    chunks = list(_lex_chunks(10, 2, chunk=16))
+    assert all(len(X) <= 12 for X in chunks) and len(chunks) == -(-1024 // 12)
+    chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
+    assert chunked == list(itertools.product(range(2), repeat=10))
 
 
 def test_enumeration_covers_full_space_when_w_reaches_n():

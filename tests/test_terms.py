@@ -42,6 +42,8 @@ def test_parse_errors_carry_position():
         parse_term("x0")
     with pytest.raises(ParseError):
         parse_term("#")
+    with pytest.raises(ParseError, match="line 3: term nested too deeply"):
+        parse_term("neg(" * 5000 + "x1" + ")" * 5000, line=3)
     err = None
     try:
         parse_term("add(x1, $)")
