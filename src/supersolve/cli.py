@@ -284,10 +284,6 @@ def run(args: argparse.Namespace) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except RecursionError:
-        # a term that parses can still nest deeper than the evaluators recurse
-        print("error: input nested too deeply", file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:

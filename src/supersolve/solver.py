@@ -45,6 +45,7 @@ from .terms import (
     Var,
     check_system,
     eval_term,
+    fold,
     substitute,
     term_length,
 )
@@ -186,32 +187,35 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, chunks):
     """The first satisfying candidate of the chunks as a re-verified
     SolutionFound (None if there is none), and the scan's SolveStats.
 
-    Each chunk is tested whole: the checked terms are evaluated on all of
-    its rows at once by table gathers.  The stats count as if rows were
+    Each chunk is tested whole: one fold evaluates the checked terms on all
+    of its rows at once by table gathers.  The stats count as if rows were
     tested one by one, each evaluating equations in order and stopping at
     the first mismatch.
     """
     dtype = _carrier(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
     costs = [term_length(lhs) + term_length(rhs) for lhs, rhs in system.equations]
+    roots = [t for eq in system.equations for t in eq]
 
-    def evaluate(t: Term, X: np.ndarray) -> np.ndarray:
+    def evaluate(t: Term, args: list[np.ndarray]) -> np.ndarray:
+        """t's values on the rows of the current chunk X."""
         if isinstance(t, Var):
             return X[:, t.index - 1]
         if isinstance(t, Const):
             return np.full(len(X), t.value, dtype)
         table = tables[t.op]
-        if not t.args:
+        if not args:
             return np.full(len(X), table[0], dtype)
-        return table[table_index([evaluate(a, X) for a in t.args], alg.size)]
+        return table[table_index(args, alg.size)]
 
     tested = nodes = 0
     for X in chunks:
+        values = fold(roots, evaluate)
         good = np.ones(len(X), dtype=bool)
         cost = np.zeros(len(X), dtype=np.int64)
-        for (lhs, rhs), c in zip(system.equations, costs):
+        for lhs, rhs, c in zip(values[::2], values[1::2], costs):
             cost += c * good
-            good &= evaluate(lhs, X) == evaluate(rhs, X)
+            good &= lhs == rhs
         if not good.any():
             tested += len(X)
             nodes += int(cost.sum())

@@ -6,6 +6,7 @@ Concrete syntax::
     var    :=  'x' digits          (1-based index)
     const  :=  '#' digits          (element index)
     opname :=  identifier
+    digits :=  [0-9]+              (ASCII only)
 
 Whitespace is insignificant and ';' starts a line comment.  A system file
 holds one equation ``lhs = rhs`` per non-blank, non-comment line.
@@ -13,6 +14,7 @@ holds one equation ``lhs = rhs`` per non-blank, non-comment line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, apply_op
@@ -60,116 +62,97 @@ class EquationSystem:
     @property
     def n(self) -> int:
         """Highest variable index occurring anywhere (0 if none)."""
-        return max(
-            (max_variable(t) for lhs, rhs in self.equations for t in (lhs, rhs)),
-            default=0,
-        )
+        return max((max_variable(t) for eq in self.equations for t in eq), default=0)
+
+
+# whitespace and ';' comments, then one token: a word, '#' and its digits,
+# or any other character; no token at the end of the text
+_TOKEN = re.compile(r"(?:\s|;[^\n]*)*(?:(\w+)|(#[0-9]*)|(.))?", re.DOTALL)
 
 
 class _Scanner:
     """Tokens: ('var', i) ('const', c) ('op', name) '(' ')' ',' ('end', None)."""
 
-    def __init__(self, text: str, line: int | None = None):
+    def __init__(self, text: str, line: int | None = None, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self.line = line
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         return ParseError(message, self.pos if pos is None else pos, self.line)
 
-    def _skip_space(self):
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c == ";":
-                nl = text.find("\n", self.pos)
-                self.pos = len(text) if nl < 0 else nl + 1
-            elif c.isspace():
-                self.pos += 1
-            else:
-                break
+    def _number(self, digits: str, start: int) -> int:
+        if not digits.isascii():
+            raise self.error("numbers must be written in ASCII digits", start)
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", start) from None
 
     def next(self):
-        self._skip_space()
-        start = self.pos
-        text = self.text
-        if self.pos >= len(text):
-            return ("end", None), start
-        c = text[self.pos]
+        match = _TOKEN.match(self.text, self.pos)
+        self.pos = match.end()
+        if not match.lastindex:
+            return ("end", None), self.pos
+        token, start = match.group(match.lastindex), match.start(match.lastindex)
+        c = token[0]
         if c in "(),":
-            self.pos += 1
             return (c, None), start
         if c == "#":
-            self.pos += 1
-            digits = self._digits()
-            if not digits:
+            if len(token) == 1:
                 raise self.error("expected digits after '#'", start)
-            return ("const", int(digits)), start
+            return ("const", self._number(token[1:], start)), start
         if c.isalpha() or c == "_":
-            ident = self._ident()
-            if ident[0] == "x" and ident[1:].isdigit():
-                index = int(ident[1:])
+            if c == "x" and token[1:].isdigit():
+                index = self._number(token[1:], start)
                 if index < 1:
                     raise self.error("variable index must be >= 1", start)
                 return ("var", index), start
-            return ("op", ident), start
+            return ("op", token), start
         raise self.error(f"unexpected character {c!r}", start)
-
-    def _digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def _ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
 
 
 def _parse(scanner: _Scanner) -> Term:
-    (kind, value), start = scanner.next()
-    if kind == "var":
-        return Var(value)
-    if kind == "const":
-        return Const(value)
-    if kind == "op":
+    """One term, which must be the whole input.  Applications still open
+    wait on a stack as (operation name, arguments read so far)."""
+    stack: list[tuple[str, list[Term]]] = []
+    while True:
+        (kind, value), start = scanner.next()
+        if kind == "var":
+            term = Var(value)
+        elif kind == "const":
+            term = Const(value)
+        elif kind == "op":
+            (tok, _), p = scanner.next()
+            if tok != "(":
+                raise scanner.error(f"expected '(' after operation {value!r}", p)
+            save = scanner.pos
+            if scanner.next()[0][0] != ")":
+                scanner.pos = save
+                stack.append((value, []))
+                continue
+            term = App(value, ())
+        elif kind == "end":
+            raise scanner.error("unexpected end of input", start)
+        else:
+            raise scanner.error(f"unexpected token {kind!r}", start)
         (tok, _), p = scanner.next()
-        if tok != "(":
-            raise scanner.error(f"expected '(' after operation {value!r}", p)
-        args: list[Term] = []
-        save = scanner.pos
-        (tok, tv), p = scanner.next()
-        if tok != ")":
-            scanner.pos = save
-            args.append(_parse(scanner))
-            while True:
-                (tok, tv), p = scanner.next()
-                if tok == ")":
-                    break
-                if tok != ",":
-                    raise scanner.error("expected ',' or ')' (unclosed application?)", p)
-                args.append(_parse(scanner))
-        return App(value, tuple(args))
-    if kind == "end":
-        raise scanner.error("unexpected end of input", start)
-    raise scanner.error(f"unexpected token {kind!r}", start)
+        while tok == ")" and stack:
+            op, args = stack.pop()
+            term = App(op, (*args, term))
+            (tok, _), p = scanner.next()
+        if not stack:
+            if tok != "end":
+                raise scanner.error("trailing input after term", p)
+            return term
+        if tok != ",":
+            raise scanner.error("expected ',' or ')' (unclosed application?)", p)
+        stack[-1][1].append(term)
 
 
 def parse_term(text: str, line: int | None = None) -> Term:
     """Parse a single term; the whole input must be consumed."""
-    scanner = _Scanner(text, line)
-    try:
-        term = _parse(scanner)
-    except RecursionError:
-        raise scanner.error("term nested too deeply") from None
-    (kind, _), p = scanner.next()
-    if kind != "end":
-        raise scanner.error("trailing input after term", p)
-    return term
+    return _parse(_Scanner(text, line))
 
 
 def parse_system(text: str) -> EquationSystem:
@@ -181,21 +164,50 @@ def parse_system(text: str) -> EquationSystem:
             continue
         if line.count("=") != 1:
             raise ParseError("expected exactly one '=' per equation", 0, lineno)
-        lhs_text, rhs_text = line.split("=")
-        lhs = parse_term(lhs_text, line=lineno)
-        rhs = parse_term(rhs_text, line=lineno)
+        eq = line.index("=")
+        lhs = parse_term(line[:eq], line=lineno)
+        # scanned in place, so that positions count from the start of the line
+        rhs = _parse(_Scanner(line, lineno, pos=eq + 1))
         equations.append((lhs, rhs))
     if not equations:
         raise ParseError("empty system", 0)
     return EquationSystem(tuple(equations))
 
 
-def format_term(t: Term) -> str:
+def fold(roots, visit) -> list:
+    """Call visit(t, values) on every node t of the terms in roots, children
+    before parents and left to right, with values the list of results of
+    t's arguments, and return the roots' results in order.  An explicit
+    stack replaces recursion, so any depth is walked, and each argument's
+    result is dropped once its parent's is computed."""
+    order, stack = [], list(roots)
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        if isinstance(t, App):
+            stack += t.args
+    values: list = []
+    for t in reversed(order):
+        k = len(t.args) if isinstance(t, App) else 0
+        if k:
+            value = visit(t, values[-k:])
+            del values[-k:]
+        else:
+            value = visit(t, [])
+        values.append(value)
+    return values
+
+
+def _format(t: Term, args: list[str]) -> str:
     if isinstance(t, Var):
         return f"x{t.index}"
     if isinstance(t, Const):
         return f"#{t.value}"
-    return f"{t.op}({', '.join(format_term(a) for a in t.args)})"
+    return f"{t.op}({', '.join(args)})"
+
+
+def format_term(t: Term) -> str:
+    return fold([t], _format)[0]
 
 
 def format_system(system: EquationSystem) -> str:
@@ -204,67 +216,64 @@ def format_system(system: EquationSystem) -> str:
     ) + "\n"
 
 
-def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
-    """Bottom-up evaluation of t at the given assignment vector."""
+def _check_leaf(alg: FiniteAlgebra, t: Var | Const) -> None:
+    """The checks on a variable or constant that need no assignment."""
     if isinstance(t, Var):
         if t.index < 1:
             raise EvalError(f"variable index must be >= 1, got {t.index}")
-        if t.index > len(assignment):
+    elif not 0 <= t.value < alg.size:
+        raise EvalError(f"constant #{t.value} out of range [0, {alg.size})")
+
+
+def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
+    """Bottom-up evaluation of t at the given assignment vector."""
+
+    def visit(u: Term, args: list[int]) -> int:
+        if isinstance(u, App):
+            return apply_op(alg, u.op, args)
+        _check_leaf(alg, u)
+        if isinstance(u, Const):
+            return u.value
+        if u.index > len(assignment):
             raise EvalError(
-                f"variable x{t.index} beyond assignment of length {len(assignment)}"
+                f"variable x{u.index} beyond assignment of length {len(assignment)}"
             )
-        return assignment[t.index - 1]
-    if isinstance(t, Const):
-        if not 0 <= t.value < alg.size:
-            raise EvalError(f"constant #{t.value} out of range [0, {alg.size})")
-        return t.value
-    return apply_op(alg, t.op, [eval_term(alg, a, assignment) for a in t.args])
+        return assignment[u.index - 1]
+
+    return fold([t], visit)[0]
 
 
 def term_length(t: Term) -> int:
     """Number of AST nodes (variables, constants, applications each count 1)."""
-    if isinstance(t, App):
-        return 1 + sum(term_length(a) for a in t.args)
-    return 1
+    return fold([t], lambda u, args: 1 + sum(args))[0]
 
 
 def max_variable(t: Term) -> int:
-    if isinstance(t, Var):
-        return t.index
-    if isinstance(t, App):
-        return max((max_variable(a) for a in t.args), default=0)
-    return 0
+    return fold([t], lambda u, args: u.index if isinstance(u, Var) else max(args, default=0))[0]
 
 
 def substitute(t: Term, mapping: dict[int, Term]) -> Term:
     """Replace each variable index in `mapping` by the given term."""
-    if isinstance(t, Var):
-        return mapping.get(t.index, t)
-    if isinstance(t, App):
-        return App(t.op, tuple(substitute(a, mapping) for a in t.args))
-    return t
+
+    def visit(u: Term, args: list[Term]) -> Term:
+        if isinstance(u, Var):
+            return mapping.get(u.index, u)
+        return App(u.op, tuple(args)) if isinstance(u, App) else u
+
+    return fold([t], visit)[0]
 
 
-def check_term(alg: FiniteAlgebra, t: Term) -> None:
+def check_system(alg: FiniteAlgebra, system: EquationSystem) -> None:
     """Static validation: ops exist, arities match, variable indices are
     1-based, constants in range."""
-    if isinstance(t, Var):
-        if t.index < 1:
-            raise EvalError(f"variable index must be >= 1, got {t.index}")
-    elif isinstance(t, Const):
-        if not 0 <= t.value < alg.size:
-            raise EvalError(f"constant #{t.value} out of range [0, {alg.size})")
-    elif isinstance(t, App):
+
+    def visit(t: Term, args: list) -> None:
+        if not isinstance(t, App):
+            return _check_leaf(alg, t)
         op = alg.operation(t.op)
         if len(t.args) != op.arity:
             raise EvalError(
                 f"operation {t.op!r} has arity {op.arity}, got {len(t.args)} arguments"
             )
-        for a in t.args:
-            check_term(alg, a)
 
-
-def check_system(alg: FiniteAlgebra, system: EquationSystem) -> None:
-    for lhs, rhs in system.equations:
-        check_term(alg, lhs)
-        check_term(alg, rhs)
+    fold([t for eq in system.equations for t in eq], visit)

@@ -465,18 +465,46 @@ def test_brute_past_int64_place_values(tmp_path, capsys, z2_file):
     assert json.loads(out)["verdict"]["assignment"] == [0] * 64
 
 
-@pytest.mark.parametrize("command", ["solve", "validate"])
-def test_deeply_nested_term_is_input_error(tmp_path, capsys, z2_file, command):
-    sys_path = _system_file(tmp_path, "neg(" * 2000 + "x1" + ")" * 2000 + " = x1\n")
-    code, out, err = run_cli(capsys, [command, "--algebra", z2_file, "--system", sys_path])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: line 1: term nested too deeply at position ")
-    assert err.count("\n") == 1
+def _chain_verdict(assignment, evaluations):
+    return {
+        "verdict": {"kind": "solution_found", "assignment": assignment, "verified": True},
+        "stats": {"candidates_tested": 2, "term_evaluations": evaluations},
+    }
 
 
+@pytest.mark.parametrize("depth, evaluations", [(600, 1_208), (100_000, 200_008)])
 @pytest.mark.parametrize("command", ["solve", "brute", "bench", "validate"])
-def test_term_nested_beyond_evaluators_is_input_error(tmp_path, capsys, z2_file, command):
-    # parses, but is deeper than the recursive term functions reach
-    sys_path = _system_file(tmp_path, "neg(" * 600 + "x1" + ")" * 600 + " = x1\n")
-    code, out, err = run_cli(capsys, [command, "--algebra", z2_file, "--system", sys_path])
-    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+def test_deeply_nested_chain_is_solved(tmp_path, capsys, z2_file, command, depth, evaluations):
+    # the term layer walks terms without recursion, so every depth that
+    # parses is solved; each candidate evaluates depth + 4 nodes
+    text = "neg(" * depth + "add(x1, x2)" + ")" * depth + " = #1\n"
+    sys_path = _system_file(tmp_path, text)
+    code, out, err = run_cli(
+        capsys, [command, "--algebra", z2_file, "--system", sys_path, "--json"]
+    )
+    assert (code, err) == (0, "")
+    head = {"schema": "supersolve/1", "command": command, "algebra": "Z2", "n": 2, "s": 1}
+    expected = {
+        "solve": {**head, "zero": 0, **_chain_verdict([1, 0], evaluations)},
+        "brute": {**head, **_chain_verdict([0, 1], evaluations)},
+        "bench": {
+            **head,
+            "agree": True,
+            "bounded": _chain_verdict([1, 0], evaluations),
+            "brute": _chain_verdict([0, 1], evaluations),
+        },
+        "validate": {
+            "schema": "supersolve/1",
+            "command": "validate",
+            "algebra": "Z2",
+            "size": 2,
+            "operations": [
+                {"name": "add", "arity": 2},
+                {"name": "neg", "arity": 1},
+                {"name": "zero", "arity": 0},
+            ],
+            "ok": True,
+            "system": {"s": 1, "n": 2},
+        },
+    }[command]
+    assert json.loads(out) == expected

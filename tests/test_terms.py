@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersolve.algebra import AlgebraError
 from supersolve.terms import (
@@ -11,6 +13,7 @@ from supersolve.terms import (
     Var,
     check_system,
     eval_term,
+    fold,
     format_system,
     format_term,
     max_variable,
@@ -42,14 +45,36 @@ def test_parse_errors_carry_position():
         parse_term("x0")
     with pytest.raises(ParseError):
         parse_term("#")
-    with pytest.raises(ParseError, match="line 3: term nested too deeply"):
-        parse_term("neg(" * 5000 + "x1" + ")" * 5000, line=3)
     err = None
     try:
         parse_term("add(x1, $)")
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 8
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("x\u00b2 = #1", "ASCII digits", 0),  # superscript two
+        ("x1 = #\u00b2", "expected digits after '#'", 5),
+        ("x1 = x\u0661", "ASCII digits", 5),  # Arabic-Indic digit one
+        ("x1 = x" + "1" * 5000, "number too long", 5),
+        ("#" + "1" * 5000 + " = x1", "number too long", 0),
+    ],
+    ids=["var-superscript", "const-superscript", "var-arabic-indic", "long-var", "long-const"],
+)
+def test_numbers_are_ascii_digits(text, message, position):
+    with pytest.raises(ParseError, match=f"^line 2: .*{message}.* at position {position}$"):
+        parse_system("x1 = #0\n" + text + "\n")
+
+
+def test_right_hand_side_positions_count_from_line_start():
+    with pytest.raises(ParseError) as exc:
+        parse_system("x1 = add(x1\n")
+    assert (exc.value.line, exc.value.position) == (1, 11)
+    with pytest.raises(ParseError, match="line 1: unexpected character '\\$' at position 14"):
+        parse_system("add(x1, x2) = $\n")
 
 
 def test_comments_and_whitespace_ignored():
@@ -166,3 +191,66 @@ def test_check_system(z4):
         check_system(z4, parse_system("add(x1, x2) = #7\n"))
     with pytest.raises(EvalError):
         check_system(z4, parse_system("add(x1) = #3\n"))
+
+
+def test_fold_order_and_depth():
+    seen = []
+
+    def visit(t, values):
+        seen.append(t)
+        return len(values)
+
+    term = parse_term("add(x1, neg(#2))")
+    assert fold([term, Var(3)], visit) == [2, 0]
+    assert seen == [Var(1), Const(2), App("neg", (Const(2),)), term, Var(3)]
+    deep = parse_term("neg(" * 100_000 + "add(x1, x2)" + ")" * 100_000)
+    assert (term_length(deep), max_variable(deep)) == (100_003, 2)
+
+
+# Arbitrary text, drawn as lines "lhs = rhs" of arbitrary pieces.  The
+# grammar's tokens, and variables and constants written in number characters
+# of any script, are drawn more often than other characters.
+_NUMBER = st.tuples(
+    st.sampled_from("x#"), st.text(st.characters(categories=["N"]), min_size=1, max_size=3)
+).map("".join)
+_PIECE = st.one_of(
+    st.sampled_from(["x1", "#0", "add(", "neg(", "(", ")", ",", " ", ";"]),
+    _NUMBER,
+    st.characters(),
+)
+_SIDE = st.lists(_PIECE, max_size=12).map("".join)
+_SYSTEM_TEXT = st.lists(st.tuples(_SIDE, _SIDE).map(" = ".join), max_size=4).map("\n".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SYSTEM_TEXT)
+def test_parse_system_returns_or_raises_parse_error(text):
+    try:
+        system = parse_system(text)
+    except ParseError:
+        return
+    assert parse_system(format_system(system)) == system
+
+
+def _terms(alg):
+    """Random shallow terms over alg's signature, at most 12 leaves each."""
+    leaves = st.one_of(
+        st.builds(Var, st.integers(min_value=1)),
+        st.builds(Const, st.integers(0, alg.size - 1)),
+    )
+
+    def apps(args):
+        return st.one_of([
+            st.builds(App, st.just(op.name), st.tuples(*[args] * op.arity))
+            for op in alg.operations
+        ])
+
+    return st.recursive(leaves, apps, max_leaves=12)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_format_parse_round_trip_property(group_fixtures, lattice, data):
+    alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
+    term = data.draw(_terms(alg))
+    assert parse_term(format_term(term)) == term
