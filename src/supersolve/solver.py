@@ -12,8 +12,10 @@ an unconditional exhaustive verdict.
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
-scans all of A^n lexicographically.  Both solvers evaluate the checked
-term trees on whole chunks of candidates by numpy table gathers.
+scans all of A^n lexicographically.  Both solvers intern the checked
+terms once per solve, so that equal subterms share one node, and evaluate
+whole chunks of candidates by numpy table gathers: each distinct node once
+per chunk, and each equation only on the rows still satisfied.
 A bounded-scan chunk holds one or more support sets of one weight times
 a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
@@ -22,7 +24,7 @@ their memory does not grow with n, and candidates and tables are
 carried in the narrowest unsigned dtype that holds the carrier.
 Reported statistics do not depend on any of this: they are exact
 sequential-scan equivalents, candidates tested until the verdict, and
-AST nodes evaluated, where a candidate evaluates equations left to
+tree nodes evaluated, where a candidate evaluates equations left to
 right and stops at the first mismatch.
 """
 
@@ -39,6 +41,7 @@ from .algebra import FiniteAlgebra, digits, max_arity, table_index
 from .bounds import make_bound_report
 from .malcev import TernaryFunctionTable, is_malcev
 from .terms import (
+    App,
     Const,
     EquationSystem,
     Term,
@@ -47,7 +50,6 @@ from .terms import (
     eval_term,
     fold,
     substitute,
-    term_length,
 )
 
 _CHUNK = 1 << 16
@@ -183,50 +185,93 @@ def _check(alg: FiniteAlgebra, system: EquationSystem) -> None:
     check_system(alg, system)
 
 
+def _plan(system: EquationSystem):
+    """Hash-cons the system: one fold keys a leaf by itself and an
+    application by (op, arg ids), so equal subterms share one id, and ids
+    are post-order positions.  Returns the nodes as (term, arg ids); per
+    equation (lhs id, rhs id, tree size, start, end), where start..end are
+    the ids it computes first; and the ids freed after each step, where
+    step i + k computes node i of equation k and step end + k compares it.
+    """
+    ids: dict = {}
+    nodes: list[tuple[Term, list[int]]] = []
+    sizes: list[int] = []  # AST nodes, as term_length counts them
+
+    def intern(t: Term, args: list[int]) -> int:
+        key = (t.op, tuple(args)) if isinstance(t, App) else t
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append((t, args))
+            sizes.append(1 + sum(sizes[a] for a in args))
+        return ids[key]
+
+    roots = fold([t for eq in system.equations for t in eq], intern)
+    last: dict[int, int] = {}
+    plan, start = [], 0
+    for k, (lhs, rhs) in enumerate(zip(roots[::2], roots[1::2])):
+        end = max(start, lhs + 1, rhs + 1)
+        for i in range(start, end):
+            last.update(dict.fromkeys(nodes[i][1], i + k))
+        last[lhs] = last[rhs] = end + k
+        plan.append((lhs, rhs, sizes[lhs] + sizes[rhs], start, end))
+        start = end
+    frees: dict[int, list[int]] = {}
+    for node, step in last.items():
+        frees.setdefault(step, []).append(node)
+    return nodes, plan, frees
+
+
 def _scan(alg: FiniteAlgebra, system: EquationSystem, chunks):
     """The first satisfying candidate of the chunks as a re-verified
     SolutionFound (None if there is none), and the scan's SolveStats.
 
-    Each chunk is tested whole: one fold evaluates the checked terms on all
-    of its rows at once by table gathers.  The stats count as if rows were
-    tested one by one, each evaluating equations in order and stopping at
-    the first mismatch.
+    Chunks are tested whole by table gathers over the _plan nodes: each
+    distinct node once, each equation on the rows that satisfied those
+    before it, each column freed after its last use.  The stats count as
+    if rows were tested one by one, each evaluating its equations' tree
+    nodes in order and stopping at the first mismatch.
     """
     dtype = _carrier(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
-    costs = [term_length(lhs) + term_length(rhs) for lhs, rhs in system.equations]
-    roots = [t for eq in system.equations for t in eq]
-
-    def evaluate(t: Term, args: list[np.ndarray]) -> np.ndarray:
-        """t's values on the rows of the current chunk X."""
-        if isinstance(t, Var):
-            return X[:, t.index - 1]
-        if isinstance(t, Const):
-            return np.full(len(X), t.value, dtype)
-        table = tables[t.op]
-        if not args:
-            return np.full(len(X), table[0], dtype)
-        return table[table_index(args, alg.size)]
-
-    tested = nodes = 0
+    nodes, plan, frees = _plan(system)
+    tested = evaluated = 0
     for X in chunks:
-        values = fold(roots, evaluate)
-        good = np.ones(len(X), dtype=bool)
-        cost = np.zeros(len(X), dtype=np.int64)
-        for lhs, rhs, c in zip(values[::2], values[1::2], costs):
-            cost += c * good
-            good &= lhs == rhs
-        if not good.any():
-            tested += len(X)
-            nodes += int(cost.sum())
-            continue
-        j = int(good.argmax())
-        solution = tuple(int(v) for v in X[j])
-        if not _verify(alg, system, solution):
-            raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
-        stats = SolveStats(tested + j + 1, nodes + int(cost[: j + 1].sum()))
-        return SolutionFound(solution, verified=True), stats
-    return None, SolveStats(tested, nodes)
+        # rows: the rows of X still satisfied, which sel picks from X
+        rows, sel, values, alive = np.arange(len(X)), slice(None), {}, []
+        for k, (lhs, rhs, _, start, end) in enumerate(plan):
+            alive.append(rows)
+            for i in range(start, end):
+                t, args = nodes[i]
+                if isinstance(t, Var):
+                    values[i] = X[sel, t.index - 1]
+                elif isinstance(t, Const):
+                    values[i] = np.full(len(rows), t.value, dtype)
+                elif args:
+                    index = table_index([values[a] for a in args], alg.size)
+                    values[i] = tables[t.op][index]
+                else:
+                    values[i] = np.full(len(rows), tables[t.op][0], dtype)
+                for a in frees.get(i + k, ()):
+                    del values[a]
+            keep = values[lhs] == values[rhs]
+            for a in frees.get(end + k, ()):
+                del values[a]
+            rows = sel = rows[keep]
+            if not len(rows):
+                break
+            values = {i: v[keep] for i, v in values.items()}
+        else:  # rows[0] satisfies every equation
+            j = int(rows[0])
+            solution = tuple(int(v) for v in X[j])
+            if not _verify(alg, system, solution):
+                raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
+            # the rows each equation ran on, cut at row j
+            cut = sum(eq[2] * int(np.searchsorted(a, j, "right")) for eq, a in zip(plan, alive))
+            stats = SolveStats(tested + j + 1, evaluated + cut)
+            return SolutionFound(solution, verified=True), stats
+        tested += len(X)
+        evaluated += sum(eq[2] * len(a) for eq, a in zip(plan, alive))
+    return None, SolveStats(tested, evaluated)
 
 
 def _verify(alg, system, assignment) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import FiniteAlgebra, apply_op
 
@@ -59,9 +60,10 @@ class EquationSystem:
     def s(self) -> int:
         return len(self.equations)
 
-    @property
+    @cached_property
     def n(self) -> int:
-        """Highest variable index occurring anywhere (0 if none)."""
+        """Highest variable index occurring anywhere (0 if none), computed
+        on first read."""
         return max((max_variable(t) for eq in self.equations for t in eq), default=0)
 
 
@@ -198,16 +200,26 @@ def fold(roots, visit) -> list:
     return values
 
 
-def _format(t: Term, args: list[str]) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    if isinstance(t, Const):
-        return f"#{t.value}"
-    return f"{t.op}({', '.join(args)})"
-
-
 def format_term(t: Term) -> str:
-    return fold([t], _format)[0]
+    """t in the concrete syntax, by one pre-order walk over an explicit
+    stack of terms and pending punctuation, joined once: linear in size."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(f"x{u.index}")
+        elif isinstance(u, Const):
+            out.append(f"#{u.value}")
+        else:
+            out.append(f"{u.op}(")
+            stack.append(")")
+            for k in reversed(range(len(u.args))):
+                stack.append(u.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(out)
 
 
 def format_system(system: EquationSystem) -> str:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from supersolve import cli
+from supersolve import cli, terms
 from supersolve.algebra import render_algebra
 from supersolve.groups import cyclic_group, two_element_lattice
 from supersolve.witness import TheoremViolation
@@ -463,6 +463,20 @@ def test_brute_past_int64_place_values(tmp_path, capsys, z2_file):
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"]["assignment"] == [0] * 64
+
+
+def test_solve_walks_each_term_once_for_n(tmp_path, capsys, monkeypatch, z4_file):
+    # the JSON document and the solver both read EquationSystem.n
+    walks = []
+    original = terms.max_variable
+    monkeypatch.setattr(terms, "max_variable", lambda t: walks.append(t) or original(t))
+    sys_path = _system_file(tmp_path, "add(x1, x2) = #3\nneg(x3) = x1\n")
+    code, out, err = run_cli(
+        capsys, ["solve", "--algebra", z4_file, "--system", sys_path, "--json"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 3
+    assert len(walks) == 4
 
 
 def _chain_verdict(assignment, evaluations):

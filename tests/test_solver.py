@@ -6,6 +6,7 @@ import pytest
 
 from supersolve.algebra import AlgebraError, max_arity
 from supersolve.bounds import make_bound_report
+from supersolve.groups import cyclic_group
 from supersolve.malcev import find_malcev
 from supersolve.solver import (
     NoSolutionExhaustive,
@@ -188,31 +189,69 @@ def _reference_scan(alg, system, candidates):
     return None, tested, nodes
 
 
+def _assert_matches_reference(alg, system):
+    """Both solvers give the sequential oracle's assignment and exact stats."""
+    n = system.n
+    bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
+    for out, candidates in (
+        (solve_brute(alg, system), itertools.product(range(alg.size), repeat=n)),
+        (solve_bounded(alg, system), enumerate_bounded_weight(n, bound, alg.size, 0)),
+    ):
+        ref_sol, ref_tested, ref_nodes = _reference_scan(alg, system, candidates)
+        got_sol = out.verdict.assignment if isinstance(out.verdict, SolutionFound) else None
+        assert got_sol == (tuple(ref_sol) if ref_sol is not None else None)
+        assert out.stats.candidates_tested == ref_tested
+        assert out.stats.term_evaluations == ref_nodes
+
+
 def test_stats_match_sequential_reference(z4, z2, q8):
     rng = random.Random(123)
     for alg in (z2, z4, q8):
         for _ in range(40):
-            system = random_system(rng, alg, max_n=4, max_s=2, max_depth=3)
-            n = system.n
-
-            out = solve_brute(alg, system)
-            ref_sol, ref_tested, ref_nodes = _reference_scan(
-                alg, system, itertools.product(range(alg.size), repeat=n)
+            _assert_matches_reference(
+                alg, random_system(rng, alg, max_n=4, max_s=2, max_depth=3)
             )
-            got_sol = out.verdict.assignment if isinstance(out.verdict, SolutionFound) else None
-            assert got_sol == (tuple(ref_sol) if ref_sol is not None else None)
-            assert out.stats.candidates_tested == ref_tested
-            assert out.stats.term_evaluations == ref_nodes
 
-            bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
-            out = solve_bounded(alg, system)
-            ref_sol, ref_tested, ref_nodes = _reference_scan(
-                alg, system, enumerate_bounded_weight(n, bound, alg.size, 0)
-            )
-            got_sol = out.verdict.assignment if isinstance(out.verdict, SolutionFound) else None
-            assert got_sol == (tuple(ref_sol) if ref_sol is not None else None)
-            assert out.stats.candidates_tested == ref_tested
-            assert out.stats.term_evaluations == ref_nodes
+
+def _sum_of_copies(t, copies):
+    """The text of t + t + ... + t (copies terms), nested to the left."""
+    text = t
+    for _ in range(copies - 1):
+        text = f"add({text}, {t})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "order, text, distinct",
+    [
+        # t + ... + t = #1 with exponent copies: unsatisfiable, and the
+        # copies of t are distinct objects that the solver shares
+        (3, _sum_of_copies("add(x1, neg(x3))", 3) + " = #1", 7),
+        (4, _sum_of_copies("add(neg(x2), add(x1, x3))", 4) + " = #1\nx1 = x2", 10),
+        (5, _sum_of_copies("add(x1, x2)", 5) + " = #1\nx4 = x3", 10),
+        # a subterm, a constant and a nullary operation shared across equations
+        (4, "add(neg(x1), zero()) = add(x2, #1)\nneg(x1) = add(#1, zero())\n"
+            "add(x3, #1) = add(x2, #1)", 10),
+        # equation 1 leaves no row of many chunks; the solution comes after
+        # the filtering, outside the first chunk
+        (4, "x1 = #3\nadd(x2, x4) = #3\nx4 = #1", 6),
+        (3, "x2 = #2\nadd(x1, x1) = x3\nadd(x1, neg(x3)) = #0\nx4 = x2", 9),
+        (4, "x3 = #0\nadd(x1, x2) = #1", 6),
+        (3, "x1 = x2\nx1 = x2\nadd(x3, x3) = x3\nneg(x2) = #1", 6),
+    ],
+)
+def test_shared_nodes_and_surviving_rows_match_reference(monkeypatch, order, text, distinct):
+    import supersolve.solver as solver
+
+    alg, system = cyclic_group(order), parse_system(text)
+    nodes, plan, _ = solver._plan(system)
+    assert len(nodes) == distinct
+    assert [eq[2] for eq in plan] == [
+        term_length(lhs) + term_length(rhs) for lhs, rhs in system.equations
+    ]
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        _assert_matches_reference(alg, system)
 
 
 def test_oracle_equivalence_small(z2, z4, k4):

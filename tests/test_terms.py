@@ -150,6 +150,23 @@ def test_format_system_round_trip():
     assert parse_system(format_system(system)) == system
 
 
+def test_format_term_bytes_and_depth():
+    assert format_term(parse_term("f( x1,g(#2) ,h(), g(x3))")) == "f(x1, g(#2), h(), g(x3))"
+    # one token per node, joined once, so a 100,000-level chain is linear work
+    depth = 100_000
+    text = format_term(parse_term("neg(" * depth + "add(x1, x2)" + ")" * depth))
+    assert len(text) == 5 * depth + len("add(x1, x2)")
+    assert text.startswith("neg(" * depth + "add(x1, x2)")
+    assert text.endswith("add(x1, x2)" + ")" * depth)
+
+
+def test_system_n_is_computed_once():
+    system, same = (parse_system("add(x2, x5) = #1\nneg(x3) = zero()\n") for _ in range(2))
+    assert system.n == 5
+    assert "n" in vars(system)
+    assert system == same and hash(system) == hash(same)
+
+
 def test_eval_deterministic_total(z4):
     rng = random.Random(3)
     for _ in range(50):
