@@ -16,9 +16,9 @@ meaningless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import mpmath
+from decimal import Decimal, localcontext
 
 
 def is_prime(n: int) -> bool:
@@ -79,8 +79,10 @@ def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
     """Closed-form bound s * |A|**(log2(mu) + log2(|A|) + 1), rounded up.
 
     Exact integer arithmetic when |A| is a power of two (the exponent
-    denominator cancels); otherwise the ceiling of a 256-bit mpmath
-    evaluation, which is a valid upper bound.
+    denominator cancels).  Otherwise the value is evaluated with a
+    bound on its error, in floats first and then in decimal at rising
+    precision, until no integer lies within that bound, so the ceiling
+    is certain.
     """
     if s < 1 or mu < 1:
         raise ValueError("s and mu must be >= 1")
@@ -92,10 +94,42 @@ def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
         b = cardinality.bit_length() - 1
         # |A|^(log2 mu) = mu^b and |A|^(log2|A| + 1) = 2^(b*b + b), both exact
         return s * mu**b * 2 ** (b * b + b)
-    with mpmath.workprec(256):
-        exponent = mpmath.log(mu, 2) + mpmath.log(cardinality, 2) + 1
-        value = s * mpmath.mpf(cardinality) ** exponent
-        return int(mpmath.ceil(value))
+    log_value = (math.log2(mu) + math.log2(cardinality) + 1) * math.log(cardinality) + math.log(s)
+    if log_value < 36:
+        # Each float operation above errs by at most an ulp, so log_value
+        # errs by at most 4 * log_value ulps and value, relatively, by at
+        # most 145 ulps < 2^-44: half the margin allowed here.
+        value = math.exp(log_value)
+        lo, hi = math.ceil(value * (1 - 2**-43)), math.ceil(value * (1 + 2**-43))
+        if lo == hi:
+            return lo
+    # ten digits past the integer part
+    return _decimal_ceiling(s, mu, cardinality, int(log_value / math.log(10)) + 10)
+
+
+def _decimal_ceiling(s: int, mu: int, cardinality: int, digits: int) -> int:
+    """ceil(s * |A|**(log2(mu) + log2(|A|) + 1)) in decimal arithmetic.
+
+    Each decimal operation is correctly rounded, so at `digits` digits the
+    result errs relatively by less than (8t + 8) * 10**(1 - digits), where
+    t = ln(value / s) is the argument of exp.  The precision doubles from
+    `digits` until that interval holds no integer; a value that never
+    separates from an integer gets the interval's upper ceiling, still an
+    upper bound.
+    """
+    for _ in range(8):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            ln_card = Decimal(cardinality).ln()
+            ln2 = Decimal(2).ln()
+            t = (Decimal(mu).ln() / ln2 + ln_card / ln2 + 1) * ln_card
+            value = s * t.exp()
+            err = value * (8 * t + 8) * Decimal(10) ** (1 - digits)
+            lo, hi = math.ceil(value - err), math.ceil(value + err)
+        if lo == hi:
+            return lo
+        digits *= 2
+    return hi
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Each subcommand's handler is attached to its sub-parser with
-set_defaults(handler=...) and takes the parsed argparse namespace; run()
-calls it and maps exceptions to exit codes.
+The _COMMANDS table maps each subcommand name to its help line, its
+handler and the function that adds its arguments.  _build_parser(argv)
+registers from it only the sub-parser that argv[0] names, so a run pays
+for one command's arguments; with no arguments, -h, -- or an unknown
+command it registers all of them, for the top-level help and errors.
+Each handler is attached to its sub-parser with set_defaults(handler=...)
+and takes the parsed argparse namespace; run() calls it and maps
+exceptions to exit codes.
 
 Exit codes: 0 = satisfiable / success, 1 = no solution (the output
 distinguishes conditional from exhaustive), 2 = input error, 3 = internal
@@ -286,32 +291,20 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="supersolve",
-        description="Decide solvability of polynomial equation systems over "
-        "finite algebras by bounded-weight search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _io_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algebra", required=True, help="algebra JSON file")
+    p.add_argument("--system", required=True, help="equation system file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def common(p):
-        p.add_argument("--algebra", required=True, help="algebra JSON file")
-        p.add_argument("--system", required=True, help="equation system file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("solve", help="bounded-weight solver")
-    p.set_defaults(handler=_cmd_solve)
-    common(p)
+def _solve_args(p: argparse.ArgumentParser) -> None:
+    _io_args(p)
     p.add_argument("--zero", type=int, default=0, help="base element z (default 0)")
     p.add_argument("--bound", type=int, default=None, help="override the weight bound")
 
-    p = sub.add_parser("brute", help="exhaustive oracle solver")
-    p.set_defaults(handler=_cmd_brute)
-    common(p)
 
-    p = sub.add_parser("bench", help="run both solvers and compare")
-    p.set_defaults(handler=_cmd_bench)
-    common(p)
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    _io_args(p)
     p.add_argument("--zero", type=int, default=0)
     p.add_argument(
         "--deterministic",
@@ -320,39 +313,83 @@ def _build_parser() -> argparse.ArgumentParser:
         help="byte-stable output: omit the timing fields (default on)",
     )
 
-    p = sub.add_parser("bound", help="print the weight-bound report as JSON")
-    p.set_defaults(handler=_cmd_bound)
+
+def _bound_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algebra", required=True)
     p.add_argument("-s", "--equations", dest="s", type=int, default=1, help="equation count")
     p.add_argument("-n", "--variables", dest="n", type=int, default=None, help="variable count")
 
-    p = sub.add_parser("malcev", help="search the ternary term clone for a Mal'cev term")
-    p.set_defaults(handler=_cmd_malcev)
+
+def _malcev_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algebra", required=True)
     p.add_argument("--constants", action="store_true", help="allow polynomial (not just term) operations")
     p.add_argument("--cap", type=int, default=10**6, help="closure size cap")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("absorb", help="absorbing decomposition of a tabulated function")
-    p.set_defaults(handler=_cmd_absorb)
+
+def _absorb_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--function", required=True, help="tabulated-function JSON file")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("reduce-witness", help="find a weight-reduction witness set U")
-    p.set_defaults(handler=_cmd_reduce_witness)
+
+def _reduce_witness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="JSON description of phi or (fs, a, k)")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("validate", help="validate input files")
-    p.set_defaults(handler=_cmd_validate)
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algebra", required=True)
     p.add_argument("--system", default=None)
     p.add_argument("--json", action="store_true")
+
+
+# name -> (help line, handler, function adding the sub-parser's arguments),
+# in the order the top-level help lists them
+_COMMANDS = {
+    "solve": ("bounded-weight solver", _cmd_solve, _solve_args),
+    "brute": ("exhaustive oracle solver", _cmd_brute, _io_args),
+    "bench": ("run both solvers and compare", _cmd_bench, _bench_args),
+    "bound": ("print the weight-bound report as JSON", _cmd_bound, _bound_args),
+    "malcev": ("search the ternary term clone for a Mal'cev term", _cmd_malcev, _malcev_args),
+    "absorb": ("absorbing decomposition of a tabulated function", _cmd_absorb, _absorb_args),
+    "reduce-witness": ("find a weight-reduction witness set U", _cmd_reduce_witness, _reduce_witness_args),
+    "validate": ("validate input files", _cmd_validate, _validate_args),
+}
+
+# the usage line's command list, as argparse spells it from the choices
+_COMMAND_METAVAR = "{" + ",".join(_COMMANDS) + "}"
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a command, only that
+    command's sub-parser is built; otherwise (no arguments, -h, --, an
+    unknown command) all of them are, for the top-level help and errors."""
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    parser = argparse.ArgumentParser(
+        prog="supersolve",
+        description="Decide solvability of polynomial equation systems over "
+        "finite algebras by bounded-weight search.",
+    )
+    # The usage line that errors print lists every command, so a parser
+    # with one sub-parser spells the list out.  The full parser must not:
+    # a metavar would replace the name "command" in the errors for a
+    # missing or unknown command.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=_COMMAND_METAVAR if len(names) == 1 else None,
+    )
+    for name in names:
+        help_line, handler, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(handler=handler)
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    return run(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return run(_build_parser(argv).parse_args(argv))
 
 
 if __name__ == "__main__":

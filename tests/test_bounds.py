@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from supersolve.bounds import (
+    _decimal_ceiling,
     factorize,
     is_prime,
     k_factor,
@@ -57,6 +60,29 @@ def test_loose_weight_bound_irrational_exponent():
     # ceil(6**(2 + log2 6)) evaluated at 256-bit precision
     assert loose_weight_bound(1, 2, 6) == 3697
     assert loose_weight_bound(2, 2, 6) == 7394
+
+
+# s in {1, 2, 3, 7}, mu in 1..5 and every |A| <= 30 that is not a power of
+# two: 500 values, pinned (SHA-256 of their repr) as a 256-bit mpmath
+# evaluation gave them.  They reach 1.0e13, past the float path's reach,
+# so the decimal path serves the largest.
+_GRID = [(s, mu, c) for s in (1, 2, 3, 7) for mu in range(1, 6) for c in range(3, 31) if c & (c - 1)]
+_GRID_SHA256 = "4293cf681473cba88cc804d0c0249e7222452729280289e74434727672582531"
+
+
+def test_loose_weight_bound_grid():
+    values = [loose_weight_bound(*point) for point in _GRID]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == _GRID_SHA256
+    assert max(values) == 10001405342940
+    # the decimal path alone, from a precision low enough to need doubling
+    assert [_decimal_ceiling(*point, digits=5) for point in _GRID] == values
+
+
+def test_loose_weight_bound_beyond_float_range():
+    s = 10**400
+    value = loose_weight_bound(s, 2, 6)
+    assert 3696 * s < value < 3697 * s
+    assert value == _decimal_ceiling(s, 2, 6, digits=1000)
 
 
 def test_make_bound_report_examples():

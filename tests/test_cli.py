@@ -1,6 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersolve import cli, terms
 from supersolve.algebra import render_algebra
@@ -436,6 +445,219 @@ def test_golden_cli_bytes(tmp_path, capsys, argv, code, stdout):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in _GOLDEN_FILES else a for a in argv]
     assert run_cli(capsys, argv) == (code, stdout, "")
+
+
+# Help and usage bytes (exit code, stdout, stderr) at 80 columns, captured
+# before the parser was narrowed to the invoked command: the top-level help,
+# each command's help, and the errors for a missing, unknown or incomplete
+# command.  argparse's wording differs between CPython versions (3.10 adds
+# "(default: True)" to the --deterministic help), so they hold on 3.11 only;
+# test_narrowed_parser_matches_full_parser covers the rest.
+_HELP_AND_USAGE = [
+    (["--help"], 0,
+     "usage: supersolve [-h]\n"
+     "                  {solve,brute,bench,bound,malcev,absorb,reduce-witness,validate}\n"
+     "                  ...\n"
+     "\n"
+     "Decide solvability of polynomial equation systems over finite algebras by\n"
+     "bounded-weight search.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {solve,brute,bench,bound,malcev,absorb,reduce-witness,validate}\n"
+     "    solve               bounded-weight solver\n"
+     "    brute               exhaustive oracle solver\n"
+     "    bench               run both solvers and compare\n"
+     "    bound               print the weight-bound report as JSON\n"
+     "    malcev              search the ternary term clone for a Mal'cev term\n"
+     "    absorb              absorbing decomposition of a tabulated function\n"
+     "    reduce-witness      find a weight-reduction witness set U\n"
+     "    validate            validate input files\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n",
+     ""),
+    (["solve", "--help"], 0,
+     "usage: supersolve solve [-h] --algebra ALGEBRA --system SYSTEM [--json]\n"
+     "                        [--zero ZERO] [--bound BOUND]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --algebra ALGEBRA  algebra JSON file\n"
+     "  --system SYSTEM    equation system file\n"
+     "  --json             machine-readable output\n"
+     "  --zero ZERO        base element z (default 0)\n"
+     "  --bound BOUND      override the weight bound\n",
+     ""),
+    (["brute", "--help"], 0,
+     "usage: supersolve brute [-h] --algebra ALGEBRA --system SYSTEM [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --algebra ALGEBRA  algebra JSON file\n"
+     "  --system SYSTEM    equation system file\n"
+     "  --json             machine-readable output\n",
+     ""),
+    (["bench", "--help"], 0,
+     "usage: supersolve bench [-h] --algebra ALGEBRA --system SYSTEM [--json]\n"
+     "                        [--zero ZERO] [--deterministic | --no-deterministic]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --algebra ALGEBRA     algebra JSON file\n"
+     "  --system SYSTEM       equation system file\n"
+     "  --json                machine-readable output\n"
+     "  --zero ZERO\n"
+     "  --deterministic, --no-deterministic\n"
+     "                        byte-stable output: omit the timing fields (default\n"
+     "                        on)\n",
+     ""),
+    (["bound", "--help"], 0,
+     "usage: supersolve bound [-h] --algebra ALGEBRA [-s S] [-n N]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --algebra ALGEBRA\n"
+     "  -s S, --equations S  equation count\n"
+     "  -n N, --variables N  variable count\n",
+     ""),
+    (["malcev", "--help"], 0,
+     "usage: supersolve malcev [-h] --algebra ALGEBRA [--constants] [--cap CAP]\n"
+     "                         [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --algebra ALGEBRA\n"
+     "  --constants        allow polynomial (not just term) operations\n"
+     "  --cap CAP          closure size cap\n"
+     "  --json\n",
+     ""),
+    (["absorb", "--help"], 0,
+     "usage: supersolve absorb [-h] --function FUNCTION [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --function FUNCTION  tabulated-function JSON file\n"
+     "  --json\n",
+     ""),
+    (["reduce-witness", "--help"], 0,
+     "usage: supersolve reduce-witness [-h] --input INPUT [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help     show this help message and exit\n"
+     "  --input INPUT  JSON description of phi or (fs, a, k)\n"
+     "  --json\n",
+     ""),
+    (["validate", "--help"], 0,
+     "usage: supersolve validate [-h] --algebra ALGEBRA [--system SYSTEM] [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --algebra ALGEBRA\n"
+     "  --system SYSTEM\n"
+     "  --json\n",
+     ""),
+    ([], 2,
+     "",
+     "usage: supersolve [-h]\n"
+     "                  {solve,brute,bench,bound,malcev,absorb,reduce-witness,validate}\n"
+     "                  ...\n"
+     "supersolve: error: the following arguments are required: command\n"),
+    (["nope"], 2,
+     "",
+     "usage: supersolve [-h]\n"
+     "                  {solve,brute,bench,bound,malcev,absorb,reduce-witness,validate}\n"
+     "                  ...\n"
+     "supersolve: error: argument command: invalid choice: 'nope' (choose from "
+     "'solve', 'brute', 'bench', 'bound', 'malcev', 'absorb', 'reduce-witness', "
+     "'validate')\n"),
+    (["solve"], 2,
+     "",
+     "usage: supersolve solve [-h] --algebra ALGEBRA --system SYSTEM [--json]\n"
+     "                        [--zero ZERO] [--bound BOUND]\n"
+     "supersolve solve: error: the following arguments are required: --algebra, --system\n"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytes pinned on CPython 3.11")
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr", _HELP_AND_USAGE, ids=[" ".join(argv) or "-" for argv, *_ in _HELP_AND_USAGE]
+)
+def test_help_and_usage_bytes(monkeypatch, capsys, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, stdout, stderr)
+
+
+def _parse_outcome(parser, argv):
+    """(namespace dict or SystemExit code, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_FLAGS = [
+    "--algebra", "--system", "--json", "--zero", "--bound", "--deterministic",
+    "--no-deterministic", "--det", "-s", "--equations", "-n", "--variables",
+    "--constants", "--cap", "--function", "--input", "-h", "--help", "--",
+    "-", "--zero=3", "-s2", "--nope",
+]
+_TOKEN = st.one_of(
+    st.sampled_from([*cli._COMMANDS, *_FLAGS, "nope"]),
+    st.integers(-5, 10**7).map(str),
+    st.text(max_size=4),
+)
+_ARGV = st.one_of(
+    st.lists(_TOKEN, max_size=8),
+    st.builds(
+        lambda first, rest: [first, *rest],
+        st.sampled_from([*cli._COMMANDS, "-h", "--", "nope"]),
+        st.lists(_TOKEN, max_size=8),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_narrowed_parser_matches_full_parser(argv):
+    # the parser built for argv parses it as the one with every command does
+    assert _parse_outcome(cli._build_parser(argv), argv) == _parse_outcome(
+        cli._build_parser([]), argv
+    )
+
+
+def test_known_command_builds_one_subparser(monkeypatch, z4_file):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction,
+        "add_parser",
+        lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs),
+    )
+    # main() reads sys.argv itself before choosing the sub-parser
+    monkeypatch.setattr(sys, "argv", ["supersolve", "bound", "--algebra", z4_file])
+    assert cli.main() == 0
+    assert built == ["bound"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["nope"])
+    assert built == list(cli._COMMANDS)
+
+
+def test_cli_import_leaves_out_mpmath():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, supersolve.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 
