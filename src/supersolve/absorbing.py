@@ -64,9 +64,9 @@ class TabulatedFunction:
         return not any(self.table)
 
 
-def restrict_vector(a, mask: int, zero: int = 0) -> tuple[int, ...]:
-    """Copy coordinates whose (1-based) position is in the mask; zero the rest."""
-    return tuple(v if mask >> i & 1 else zero for i, v in enumerate(a))
+def restrict_vector(a, mask: int) -> tuple[int, ...]:
+    """Copy coordinates whose (1-based) position is in the mask; set the rest to 0."""
+    return tuple(v if mask >> i & 1 else 0 for i, v in enumerate(a))
 
 
 def subset_mask(indices) -> int:

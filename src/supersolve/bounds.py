@@ -52,27 +52,9 @@ def k_factor(mu: int, p: int, alpha: int) -> int:
     return (mu * (p**alpha - 1)) ** (alpha - 1)
 
 
-def tight_weight_bound(
-    s: int,
-    mu: int,
-    cardinality: int,
-    overrides: list[int] | None = None,
-) -> int:
+def tight_weight_bound(s: int, mu: int, cardinality: int) -> int:
     """s * sum_i k_i * alpha_i * (p_i - 1) over the factorization of |A|."""
-    return make_bound_report(s, mu, cardinality, overrides=overrides).tight_bound
-
-
-def _k_list(mu, factors, overrides):
-    if overrides is None:
-        return [k_factor(mu, p, a) for p, a in factors]
-    if len(overrides) != len(factors):
-        raise ValueError(
-            f"expected {len(factors)} per-factor overrides, got {len(overrides)}"
-        )
-    for k in overrides:
-        if k < 1:
-            raise ValueError(f"override {k} must be positive")
-    return list(overrides)
+    return make_bound_report(s, mu, cardinality).tight_bound
 
 
 def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
@@ -146,20 +128,14 @@ class BoundReport:
     n: int | None = None
 
 
-def make_bound_report(
-    s: int,
-    mu: int,
-    cardinality: int,
-    n: int | None = None,
-    overrides: list[int] | None = None,
-) -> BoundReport:
+def make_bound_report(s: int, mu: int, cardinality: int, n: int | None = None) -> BoundReport:
     """All bound figures in one record; effective_bound = min(n, tight)."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if n is not None and n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     factors = factorize(cardinality)
-    ks = _k_list(mu, factors, overrides)
+    ks = [k_factor(mu, p, a) for p, a in factors]
     tight = s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))
     loose = loose_weight_bound(s, mu, cardinality)
     if cardinality >= 2 and tight > loose:

@@ -215,9 +215,11 @@ def _cmd_absorb(args: argparse.Namespace) -> int:
     f = _load_function(parse_json(_read(args.function)))
     decomposition = absorbing.decompose(f)
     doc = decomposition.to_json_dict()
-    human = "absorbing degree: {}\n".format(doc["absorbing_degree"]) + "\n".join(
-        f"  {mask}: {table}" for mask, table in doc["components"].items()
-    )
+    human = None  # under --json the text would not be printed, so it is not built
+    if not args.json:
+        human = "absorbing degree: {}\n".format(doc["absorbing_degree"]) + "\n".join(
+            f"  {mask}: {table}" for mask, table in doc["components"].items()
+        )
     _emit(args, doc, human)
     return EXIT_OK
 

@@ -65,17 +65,19 @@ class _Closure:
         self.seen: set[bytes] = set()
         self.malcev_index: int | None = None
         for i, column in enumerate(digits(0, self.length, size, 3, np.int32).T):
-            self.add(column, Var(i + 1))
+            self.add(column.tobytes(), Var(i + 1))
         if include_constants:
             for c in range(size):
-                self.add(np.full(self.length, c, dtype=np.int32), Const(c))
+                self.add(np.full(self.length, c, dtype=np.int32).tobytes(), Const(c))
 
-    def add(self, arr: np.ndarray, witness: Term) -> bool:
-        """Register a table if unseen; track the first Mal'cev one."""
-        key = arr.tobytes()
+    def add(self, key: bytes, witness: Term) -> bool:
+        """Register the table whose int32 bytes are key, if unseen; track
+        the first Mal'cev one.  The table is a view of key, so its values
+        are stored once, for the seen set and the table list alike."""
         if key in self.seen:
             return False
         self.seen.add(key)
+        arr = np.frombuffer(key, dtype=np.int32)
         self.tables.append(arr)
         self.witnesses.append(witness)
         if self.stop and self.malcev_index is None and self._is_malcev_arr(arr):
@@ -107,16 +109,17 @@ class _Closure:
                 if op.arity == 0:
                     if lo == 0:
                         arr = np.full(self.length, op.table[0], dtype=np.int32)
-                        grew |= self.add(arr, App(op.name, ()))
+                        grew |= self.add(arr.tobytes(), App(op.name, ()))
                         if self._done(cap):
                             return False
                     continue
                 for combos, rows in self._apply_batches(op_index, op.arity, snapshot, lo):
                     for combo, row in zip(combos.tolist(), rows):
-                        if row.tobytes() in self.seen:
+                        key = row.tobytes()
+                        if key in self.seen:
                             continue
                         wit = App(op.name, tuple(self.witnesses[i] for i in combo))
-                        grew |= self.add(row, wit)
+                        grew |= self.add(key, wit)
                         if self._done(cap):
                             return False
             if not grew:
@@ -143,7 +146,7 @@ class _Closure:
 def _to_table(closure: _Closure, i: int) -> TernaryFunctionTable:
     return TernaryFunctionTable(
         closure.alg.size,
-        tuple(int(v) for v in closure.tables[i]),
+        tuple(closure.tables[i].tolist()),
         closure.witnesses[i],
     )
 

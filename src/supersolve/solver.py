@@ -12,10 +12,13 @@ an unconditional exhaustive verdict.
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
-scans all of A^n lexicographically.  Both solvers intern the checked
-terms once per solve, so that equal subterms share one node, and evaluate
-whole chunks of candidates by numpy table gathers: each distinct node once
-per chunk, and each equation only on the rows still satisfied.
+scans all of A^n lexicographically.  Both solvers intern the terms once
+per solve, so that equal subterms share one node, and validate while
+they do: each distinct node is checked once, with the errors and the
+first fault of check_system, and no other pass checks the system.  They
+evaluate whole chunks of candidates by numpy table gathers: each
+distinct node once per chunk, and each equation only on the rows still
+satisfied.
 A bounded-scan chunk holds one or more support sets of one weight times
 a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
@@ -46,7 +49,7 @@ from .terms import (
     EquationSystem,
     Term,
     Var,
-    check_system,
+    check_node,
     eval_term,
     fold,
     substitute,
@@ -179,20 +182,19 @@ def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
                 yield X.reshape(n, len(batch) * len(vals)).T
 
 
-def _check(alg: FiniteAlgebra, system: EquationSystem) -> None:
+def _plan(alg: FiniteAlgebra, system: EquationSystem):
+    """Validate and hash-cons the system: one fold keys a leaf by itself
+    and an application by (op, arg ids), so equal subterms share one id,
+    and ids are post-order positions.  Each distinct node is checked by
+    check_node when it first gets an id; a repeat has the same key, so the
+    same checks, and the first fault is the one check_system raises.
+    Returns the nodes as (term, arg ids); per equation (lhs id, rhs id,
+    tree size, start, end), where start..end are the ids it computes
+    first; and the ids freed after each step, where step i + k computes
+    node i of equation k and step end + k compares it.
+    """
     if system.s < 1:
         raise ValueError("system must contain at least one equation")
-    check_system(alg, system)
-
-
-def _plan(system: EquationSystem):
-    """Hash-cons the system: one fold keys a leaf by itself and an
-    application by (op, arg ids), so equal subterms share one id, and ids
-    are post-order positions.  Returns the nodes as (term, arg ids); per
-    equation (lhs id, rhs id, tree size, start, end), where start..end are
-    the ids it computes first; and the ids freed after each step, where
-    step i + k computes node i of equation k and step end + k compares it.
-    """
     ids: dict = {}
     nodes: list[tuple[Term, list[int]]] = []
     sizes: list[int] = []  # AST nodes, as term_length counts them
@@ -200,6 +202,7 @@ def _plan(system: EquationSystem):
     def intern(t: Term, args: list[int]) -> int:
         key = (t.op, tuple(args)) if isinstance(t, App) else t
         if key not in ids:
+            check_node(alg, t)
             ids[key] = len(nodes)
             nodes.append((t, args))
             sizes.append(1 + sum(sizes[a] for a in args))
@@ -221,19 +224,19 @@ def _plan(system: EquationSystem):
     return nodes, plan, frees
 
 
-def _scan(alg: FiniteAlgebra, system: EquationSystem, chunks):
+def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks):
     """The first satisfying candidate of the chunks as a re-verified
     SolutionFound (None if there is none), and the scan's SolveStats.
 
-    Chunks are tested whole by table gathers over the _plan nodes: each
-    distinct node once, each equation on the rows that satisfied those
-    before it, each column freed after its last use.  The stats count as
-    if rows were tested one by one, each evaluating its equations' tree
-    nodes in order and stopping at the first mismatch.
+    Chunks are tested whole by table gathers over the nodes of planned,
+    the system's _plan: each distinct node once, each equation on the rows
+    that satisfied those before it, each column freed after its last use.
+    The stats count as if rows were tested one by one, each evaluating its
+    equations' tree nodes in order and stopping at the first mismatch.
     """
     dtype = _carrier(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
-    nodes, plan, frees = _plan(system)
+    nodes, plan, frees = planned
     tested = evaluated = 0
     for X in chunks:
         # rows: the rows of X still satisfied, which sel picks from X
@@ -293,13 +296,13 @@ def solve_bounded(
     being supernilpotent unless the scan covered all of A^n."""
     if not 0 <= z < alg.size:
         raise ValueError(f"base element {z} out of range [0, {alg.size})")
-    _check(alg, system)
+    planned = _plan(alg, system)
     n = system.n
     if bound is None:
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    found, stats = _scan(alg, system, _weight_chunks(n, bound, alg.size, z, _CHUNK))
+    found, stats = _scan(alg, system, planned, _weight_chunks(n, bound, alg.size, z, _CHUNK))
     if found is None:
         found = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
     return SolveOutcome(found, stats)
@@ -307,8 +310,8 @@ def solve_bounded(
 
 def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
     """Full enumeration of A^n in lexicographic order; unconditional verdict."""
-    _check(alg, system)
-    found, stats = _scan(alg, system, _lex_chunks(system.n, alg.size, _CHUNK))
+    chunks = _lex_chunks(system.n, alg.size, _CHUNK)
+    found, stats = _scan(alg, system, _plan(alg, system), chunks)
     return SolveOutcome(found or NoSolutionExhaustive(), stats)
 
 

@@ -228,9 +228,17 @@ def format_system(system: EquationSystem) -> str:
     ) + "\n"
 
 
-def _check_leaf(alg: FiniteAlgebra, t: Var | Const) -> None:
-    """The checks on a variable or constant that need no assignment."""
-    if isinstance(t, Var):
+def check_node(alg: FiniteAlgebra, t: Term) -> None:
+    """The checks on one node that need no assignment: an application's
+    operation exists and takes that many arguments, a variable's index is
+    1-based, a constant lies in the carrier."""
+    if isinstance(t, App):
+        op = alg.operation(t.op)
+        if len(t.args) != op.arity:
+            raise EvalError(
+                f"operation {t.op!r} has arity {op.arity}, got {len(t.args)} arguments"
+            )
+    elif isinstance(t, Var):
         if t.index < 1:
             raise EvalError(f"variable index must be >= 1, got {t.index}")
     elif not 0 <= t.value < alg.size:
@@ -243,7 +251,7 @@ def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
     def visit(u: Term, args: list[int]) -> int:
         if isinstance(u, App):
             return apply_op(alg, u.op, args)
-        _check_leaf(alg, u)
+        check_node(alg, u)
         if isinstance(u, Const):
             return u.value
         if u.index > len(assignment):
@@ -276,16 +284,6 @@ def substitute(t: Term, mapping: dict[int, Term]) -> Term:
 
 
 def check_system(alg: FiniteAlgebra, system: EquationSystem) -> None:
-    """Static validation: ops exist, arities match, variable indices are
-    1-based, constants in range."""
-
-    def visit(t: Term, args: list) -> None:
-        if not isinstance(t, App):
-            return _check_leaf(alg, t)
-        op = alg.operation(t.op)
-        if len(t.args) != op.arity:
-            raise EvalError(
-                f"operation {t.op!r} has arity {op.arity}, got {len(t.args)} arguments"
-            )
-
-    fold([t for eq in system.equations for t in eq], visit)
+    """Static validation: check_node on every node of every equation, in
+    post-order, so the first faulty node raises."""
+    fold([t for eq in system.equations for t in eq], lambda t, args: check_node(alg, t))

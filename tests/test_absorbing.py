@@ -29,7 +29,6 @@ def test_restrict_vector():
     assert restrict_vector((1, 2, 3), subset_mask([1, 3])) == (1, 0, 3)
     assert restrict_vector((1, 2, 3), 0) == (0, 0, 0)
     assert restrict_vector((1, 2, 3), 0b111) == (1, 2, 3)
-    assert restrict_vector((1, 2), 0b01, zero=9) == (1, 9)
 
 
 def test_mask_helpers():

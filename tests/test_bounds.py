@@ -40,14 +40,6 @@ def test_tight_weight_bound():
     assert tight_weight_bound(1, 2, 8) == 588
 
 
-def test_tight_weight_bound_overrides():
-    assert tight_weight_bound(1, 2, 4, overrides=[1]) == 2
-    with pytest.raises(ValueError, match="overrides"):
-        tight_weight_bound(1, 2, 6, overrides=[1])
-    with pytest.raises(ValueError, match="positive"):
-        tight_weight_bound(1, 2, 4, overrides=[0])
-
-
 def test_loose_weight_bound_exact_powers_of_two():
     assert loose_weight_bound(1, 2, 4) == 256
     assert loose_weight_bound(1, 2, 8) == 32768

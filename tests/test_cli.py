@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supersolve import cli, terms
+from supersolve import cli, solver, terms
 from supersolve.algebra import render_algebra
 from supersolve.groups import cyclic_group, two_element_lattice
 from supersolve.witness import TheoremViolation
@@ -699,6 +699,27 @@ def test_solve_walks_each_term_once_for_n(tmp_path, capsys, monkeypatch, z4_file
     assert (code, err) == (0, "")
     assert json.loads(out)["n"] == 3
     assert len(walks) == 4
+
+
+def test_solve_checks_the_tree_at_the_boundary_and_each_distinct_node_once(
+    tmp_path, capsys, monkeypatch, z4_file
+):
+    # cli._load_inputs runs check_system over the 8 tree nodes, and the
+    # solver's plan checks the 4 distinct ones: x1, add(x1, x1), #1 and the
+    # root on the right; the system is unsatisfiable, so no re-verification
+    checked = []
+    original = terms.check_node
+
+    def counting(alg, t):
+        checked.append(t)
+        original(alg, t)
+
+    monkeypatch.setattr(terms, "check_node", counting)
+    monkeypatch.setattr(solver, "check_node", counting)
+    sys_path = _system_file(tmp_path, "add(x1, x1) = add(add(x1, x1), #1)\n")
+    code, _, err = run_cli(capsys, ["solve", "--algebra", z4_file, "--system", sys_path])
+    assert (code, err) == (1, "")
+    assert len(checked) == 8 + 4
 
 
 def _chain_verdict(assignment, evaluations):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersolve.algebra import AlgebraError, max_arity
 from supersolve.bounds import make_bound_report
@@ -169,6 +171,93 @@ def test_variable_index_below_one_rejected(z4):
         eval_term(z4, Var(0), (1, 2))
 
 
+def _fault(call):
+    """The type and message of the ValueError call raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_solvers_validate_like_check_system(alg, system):
+    # the solvers validate in their plan, so check_system is never called
+    def forbidden(*args):
+        raise AssertionError("the solvers must not call check_system")
+
+    expected = _fault(lambda: check_system(alg, system))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("supersolve.terms.check_system", forbidden)
+        mp.setattr("supersolve.solver.check_system", forbidden, raising=False)
+        for solve in (solve_bounded, solve_brute):
+            assert _fault(lambda: solve(alg, system)) == expected
+
+
+_MALFORMED = [
+    parse_system("mul(x1, x2) = #0"),  # unknown operation
+    parse_system("add(x1) = #0"),  # wrong arity
+    parse_system("x1 = #7"),  # constant out of range
+    parse_system("zero(x1) = x1"),  # arguments to a nullary operation
+    # shared subterms, then a constant out of range
+    parse_system("add(neg(x1), neg(x1)) = add(neg(x1), #9)"),
+    # the first fault, in post-order, is the constant, not the arity
+    parse_system("neg(#5, x1) = zero(x2)"),
+    # the first equation is well formed and shares a node with the second
+    parse_system("add(x1, x2) = x1\nneg(add(x1, x2), x1) = mul(x1)"),
+    # variable indices below 1, which only code can build
+    EquationSystem(((App("neg", (Var(0),)), Var(1)),)),
+    EquationSystem(((Var(-1), App("neg", (Var(-1),))),)),
+]
+
+
+@pytest.mark.parametrize("system", _MALFORMED)
+def test_solvers_validate_once_with_check_system_errors(z4, system):
+    _assert_solvers_validate_like_check_system(z4, system)
+
+
+def test_solve_bounded_checks_z_then_system_then_bound(z4):
+    bad = parse_system("add(x1) = #0")
+    with pytest.raises(ValueError, match="base element"):
+        solve_bounded(z4, bad, z=7)
+    with pytest.raises(EvalError, match="arity"):
+        solve_bounded(z4, bad, bound=-1)
+    with pytest.raises(ValueError, match="at least one equation"):
+        solve_bounded(z4, EquationSystem(()), bound=-1)
+
+
+def _terms(alg):
+    """Terms over alg's signature and one unknown name, with any arity,
+    variables x-1..x3 and constants -1..size: mostly malformed."""
+    leaves = st.one_of(
+        st.builds(Var, st.integers(-1, 3)), st.builds(Const, st.integers(-1, alg.size))
+    )
+    names = st.sampled_from([op.name for op in alg.operations] + ["nope"])
+    return st.recursive(
+        leaves,
+        lambda args: st.builds(App, names, st.lists(args, max_size=3).map(tuple)),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def _systems(draw, alg):
+    """One to three equations whose sides are fresh terms, one shared term,
+    or an application over the shared term."""
+    terms, shared = _terms(alg), draw(_terms(alg))
+    names = st.sampled_from([op.name for op in alg.operations])
+    side = st.one_of(
+        terms, st.just(shared), st.builds(lambda op, t: App(op, (t, shared)), names, terms)
+    )
+    return EquationSystem(tuple(draw(st.lists(st.tuples(side, side), min_size=1, max_size=3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solvers_validate_like_check_system_on_random_systems(group_fixtures, data):
+    alg = data.draw(st.sampled_from(group_fixtures))
+    _assert_solvers_validate_like_check_system(alg, data.draw(_systems(alg)))
+
+
 def _reference_scan(alg, system, candidates):
     """Sequential oracle for verdicts and statistics."""
     tested = 0
@@ -244,7 +333,7 @@ def test_shared_nodes_and_surviving_rows_match_reference(monkeypatch, order, tex
     import supersolve.solver as solver
 
     alg, system = cyclic_group(order), parse_system(text)
-    nodes, plan, _ = solver._plan(system)
+    nodes, plan, _ = solver._plan(alg, system)
     assert len(nodes) == distinct
     assert [eq[2] for eq in plan] == [
         term_length(lhs) + term_length(rhs) for lhs, rhs in system.equations
