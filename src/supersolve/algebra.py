@@ -25,19 +25,33 @@ class AlgebraError(ValueError):
 def table_index(args, size: int):
     """Row-major index of an argument tuple in a table over size elements.
 
-    Each argument is an int or an integer numpy array; arrays are widened
-    once to np.intp, and the index is accumulated in place.
+    Each argument is an int or an integer numpy array.  With an array among
+    them, the index is one new array, accumulated in place: in the
+    narrowest type that holds size**len(args) - 1 when every array and
+    numpy scalar is unsigned and that type is narrower than np.intp, else
+    in np.intp.
+    Gather with ndarray.take: under [] a narrow index is slower than np.intp.
     """
+    args = tuple(args)
     idx = 0
     for a in args:
         if isinstance(a, np.ndarray) and not isinstance(idx, np.ndarray):
-            idx, offset = a.astype(np.intp), idx * size
+            idx, offset = a.astype(_index_dtype(args, size)), idx * size
             if offset:
                 idx += offset
         else:
             idx *= size
             idx += a
     return idx
+
+
+def _index_dtype(args, size: int) -> np.dtype:
+    # numpy scalars count too: a signed one would not add into a narrow index
+    if all(a.dtype.kind == "u" for a in args if hasattr(a, "dtype")):
+        narrow = np.min_scalar_type(size ** len(args) - 1)
+        if narrow.itemsize < np.dtype(np.intp).itemsize:
+            return narrow
+    return np.dtype(np.intp)
 
 
 def digits(start: int, stop: int, base: int, width: int, dtype) -> np.ndarray:
@@ -144,8 +158,8 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
     ops = []
     for op_a, op_b in zip(a.operations, b.operations):
         args = digits(0, size**op_a.arity, size, op_a.arity, np.intp)
-        va = np.asarray(op_a.table)[table_index((args // b.size).T, a.size)]
-        vb = np.asarray(op_b.table)[table_index((args % b.size).T, b.size)]
+        va = np.asarray(op_a.table).take(table_index((args // b.size).T, a.size))
+        vb = np.asarray(op_b.table).take(table_index((args % b.size).T, b.size))
         table = np.ravel(va * b.size + vb).tolist()
         ops.append(OperationTable(op_a.name, op_a.arity, tuple(table)))
     return FiniteAlgebra(name or f"{a.name}x{b.name}", size, tuple(ops))

@@ -24,7 +24,8 @@ a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
 a chunk.  Chunks of both scans are capped by cells as well as rows, so
 their memory does not grow with n, and candidates and tables are
-carried in the narrowest unsigned dtype that holds the carrier.
+carried in the narrowest unsigned dtype that holds the carrier, so that
+table_index accumulates its gather indices narrow too.
 Reported statistics do not depend on any of this: they are exact
 sequential-scan equivalents, candidates tested until the verdict, and
 tree nodes evaluated, where a candidate evaluates equations left to
@@ -251,7 +252,7 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks):
                     values[i] = np.full(len(rows), t.value, dtype)
                 elif args:
                     index = table_index([values[a] for a in args], alg.size)
-                    values[i] = tables[t.op][index]
+                    values[i] = tables[t.op].take(index)
                 else:
                     values[i] = np.full(len(rows), tables[t.op][0], dtype)
                 for a in frees.get(i + k, ()):

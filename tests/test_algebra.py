@@ -145,10 +145,24 @@ def test_table_index_and_digits_match_product():
             columns = list(digits(0, len(rows), base, width, np.uint8).T)
             flat = table_index(columns, base)
             if width:
-                assert flat.dtype == np.intp
+                # unsigned columns: the narrowest type that holds the last index
+                assert flat.dtype == np.min_scalar_type(base**width - 1)
                 assert flat.tolist() == list(range(len(rows)))
+                # signed columns keep np.intp
+                signed = table_index([c.astype(np.int64) for c in columns], base)
+                assert signed.dtype == np.intp
+                assert signed.tolist() == list(range(len(rows)))
+                # a leading int widens the index to the full argument count
+                lead = table_index([base - 1, *columns], base)
+                assert lead.dtype == np.min_scalar_type(base ** (width + 1) - 1)
+                assert lead.tolist() == list(range((base - 1) * len(rows), base * len(rows)))
             else:
                 assert flat == 0
+    # a signed numpy scalar keeps np.intp too
+    mixed = table_index((np.array([1, 2], np.uint8), np.int64(1)), 4)
+    assert mixed.dtype == np.intp and mixed.tolist() == [5, 9]
+    # an index type as wide as np.intp is np.intp itself
+    assert table_index([np.zeros(1, np.uint8)] * 5, 256).dtype == np.intp
     # the leading place values 2**69 .. 2**63 do not fit in int64
     rows = list(itertools.islice(itertools.product(range(2), repeat=70), 1000))
     for start in (0, 500):

@@ -2,17 +2,20 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
+from supersolve.algebra import FiniteAlgebra, OperationTable, apply_op
 from supersolve.groups import cyclic_group, dihedral_group, two_element_lattice
 from supersolve.malcev import (
     MalcevNotFound,
     TernaryFunctionTable,
+    _arg_tuples,
     find_malcev,
     is_malcev,
     ternary_term_clone,
 )
-from supersolve.terms import Var, eval_term, format_term
+from supersolve.terms import App, Const, Var, eval_term, format_term
 
 
 def _table(size, func):
@@ -163,3 +166,119 @@ def test_find_malcev_capped(name, constants, cap, expected):
         assert format_term(result.witness) == expected
     else:
         assert result == expected
+
+
+def _reference_closure(alg, include_constants, cap, stop_at_malcev):
+    """The closure one argument tuple at a time, over itertools.product:
+    (tables, witnesses, complete, index of the first Mal'cev table)."""
+    points = list(itertools.product(range(alg.size), repeat=3))
+    tables, witnesses, found = [], [], []
+
+    def add(table, witness):
+        if table in tables:
+            return False
+        tables.append(table)
+        witnesses.append(witness)
+        if stop_at_malcev and not found and is_malcev(TernaryFunctionTable(alg.size, table, witness)):
+            found.append(len(tables) - 1)
+        return True
+
+    def done():
+        return bool(stop_at_malcev and found) or len(tables) >= cap
+
+    def result(complete):
+        return tables, witnesses, complete, found[0] if found else None
+
+    for i in range(3):
+        add(tuple(p[i] for p in points), Var(i + 1))
+    if include_constants:
+        for c in range(alg.size):
+            add((c,) * len(points), Const(c))
+    lo = 0
+    while True:
+        if done():
+            return result(False)
+        snapshot, grew = len(tables), False
+        for op in alg.operations:
+            if op.arity == 0 and lo > 0:
+                continue
+            for combo in itertools.product(range(snapshot), repeat=op.arity):
+                if op.arity and max(combo) < lo:
+                    continue
+                table = tuple(
+                    apply_op(alg, op.name, [tables[i][p] for i in combo]) for p in range(len(points))
+                )
+                if add(table, App(op.name, tuple(witnesses[i] for i in combo))):
+                    grew = True
+                    if done():
+                        return result(False)
+        if not grew:
+            return result(True)
+        lo = snapshot
+
+
+def _higher_arity_algebras():
+    def algebra(name, size, *ops):
+        return FiniteAlgebra(name, size, tuple(
+            OperationTable(op, arity, tuple(f(*a) for a in itertools.product(range(size), repeat=arity)))
+            for op, arity, f in ops
+        ))
+
+    return [
+        # capped at every cap, with a nullary operation
+        algebra("mul3", 3, ("f", 3, lambda x, y, z: (x * y + z) % 3), ("one", 0, lambda: 1)),
+        # complete at 27 tables; x - y + z is the 24th
+        algebra("sum3", 3, ("f", 3, lambda x, y, z: (x + y + z) % 3)),
+        # a Mal'cev table is the 45th
+        algebra("maj4", 2, ("q", 4, lambda w, x, y, z: int(w + x + y + z >= 2) ^ (w & z))),
+        algebra("mixed2", 2, ("neg", 1, lambda x: 1 - x), ("q", 4, lambda w, x, y, z: (w & x) ^ (y | z))),
+    ]
+
+
+@pytest.mark.parametrize("alg", _higher_arity_algebras(), ids=lambda a: a.name)
+@pytest.mark.parametrize("constants", [False, True])
+@pytest.mark.parametrize("cap", [3, 5, 50])
+def test_closure_matches_reference_at_higher_arity(alg, constants, cap):
+    tables, witnesses, complete, first = _reference_closure(alg, constants, cap, False)
+    got, got_complete = ternary_term_clone(alg, include_constants=constants, cap=cap)
+    assert [(t.table, format_term(t.witness)) for t in got] == [
+        (t, format_term(w)) for t, w in zip(tables, witnesses)
+    ]
+    assert got_complete == complete
+    tables, witnesses, complete, first = _reference_closure(alg, constants, cap, True)
+    result = find_malcev(alg, include_constants=constants, cap=cap)
+    if first is None:
+        assert result == MalcevNotFound(complete=complete, tables_explored=len(tables))
+    else:
+        assert (result.table, format_term(result.witness)) == (tables[first], format_term(witnesses[first]))
+
+
+@pytest.mark.parametrize("snapshot, arity, lo, rows", [
+    (7, 3, 0, 10), (7, 3, 4, 1), (7, 3, 6, 64), (5, 4, 3, 17), (6, 1, 2, 4), (3, 2, 0, 1000),
+])
+def test_arg_tuples_are_the_filtered_product(snapshot, arity, lo, rows):
+    batches = list(_arg_tuples(snapshot, arity, lo, rows))
+    assert all(b.dtype == np.intp and 0 < len(b) <= rows for b in batches)
+    expected = [c for c in itertools.product(range(snapshot), repeat=arity) if max(c) >= lo]
+    assert [tuple(c) for b in batches for c in b.tolist()] == expected
+
+
+def _lazy_product(n, r):
+    """itertools.product(range(n), repeat=r), without building range(n)."""
+    if r == 0:
+        yield ()
+        return
+    for head in range(n):
+        for tail in _lazy_product(n, r - 1):
+            yield (head, *tail)
+
+
+@pytest.mark.parametrize("arity, lo, rows", [(3, 2, 1000), (3, 1000, 4096), (4, 5, 999)])
+def test_arg_tuples_past_int64_ranks(arity, lo, rows):
+    # snapshot**arity passes 2**63: the leading one or two indices run in Python
+    snapshot = 2**22
+    assert snapshot**arity > 2**63
+    batches = list(itertools.islice(_arg_tuples(snapshot, arity, lo, rows), 3))
+    got = [tuple(c) for b in batches for c in b.tolist()]
+    expected = (c for c in _lazy_product(snapshot, arity) if max(c) >= lo)
+    assert len(batches) == 3 and got == list(itertools.islice(expected, len(got)))
