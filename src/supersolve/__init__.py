@@ -16,12 +16,10 @@ from .absorbing import (
     TabulatedFunction,
     absorbing_degree,
     component_moebius,
-    component_recursive,
     decompose,
     is_absorbing_in,
     mask_indices,
     restrict_vector,
-    subset_mask,
 )
 from .bounds import (
     BoundReport,
@@ -29,7 +27,6 @@ from .bounds import (
     k_factor,
     loose_weight_bound,
     make_bound_report,
-    tight_weight_bound,
 )
 from .malcev import (
     MalcevNotFound,

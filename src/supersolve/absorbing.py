@@ -9,12 +9,15 @@ nonzero component is the absorbing degree (-1 for the zero function).
 Subsets are bitmasks: bit j-1 stands for coordinate j (1-based).  The
 absorbing element is fixed as index 0 of the domain; relabel before
 tabulating if another element should absorb.
+
+decompose computes every component by one transform; a single one is
+decompose(f).components[mask].  component_moebius and is_absorbing_in are
+independent of it, the oracles its tests check it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -52,11 +55,6 @@ class TabulatedFunction:
             j = next(j for j, v in enumerate(self.table) if not 0 <= v < self.prime)
             raise ValueError(f"table[{j}] value {self.table[j]} not in [0, {self.prime})")
 
-    @classmethod
-    def from_callable(cls, domain_size, arity, prime, func) -> "TabulatedFunction":
-        points = product(range(domain_size), repeat=arity)
-        return cls(domain_size, arity, prime, tuple(func(a) % prime for a in points))
-
     def __call__(self, args) -> int:
         return self.table[table_index(args, self.domain_size)]
 
@@ -67,16 +65,6 @@ class TabulatedFunction:
 def restrict_vector(a, mask: int) -> tuple[int, ...]:
     """Copy coordinates whose (1-based) position is in the mask; set the rest to 0."""
     return tuple(v if mask >> i & 1 else 0 for i, v in enumerate(a))
-
-
-def subset_mask(indices) -> int:
-    """Bitmask of 1-based coordinate indices."""
-    mask = 0
-    for i in indices:
-        if i < 1:
-            raise ValueError(f"coordinate indices are 1-based, got {i}")
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -93,14 +81,6 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _check_budget(f: TabulatedFunction, max_points: int):
-    if len(f.table) > max_points:
-        raise TableBudgetError(
-            f"{f.domain_size}**{f.arity} = {len(f.table)} table points exceed "
-            f"the budget of {max_points}"
-        )
-
-
 def _check_mask(f: TabulatedFunction, mask: int):
     if mask < 0 or mask >> f.arity:
         raise ValueError(f"mask {mask} names coordinates beyond arity {f.arity}")
@@ -111,23 +91,17 @@ def _tensor(f: TabulatedFunction) -> np.ndarray:
     return np.asarray(f.table, dtype=np.int64).reshape((f.domain_size,) * f.arity)
 
 
-def _components_upto(f: TabulatedFunction, top: int) -> dict[int, TabulatedFunction]:
-    """Components f_J for every J <= top, by the per-coordinate subset-lattice
-    (fast Moebius) transform on the |A|^n value tensor: with every coordinate
-    outside top fixed at 0, each coordinate j in top splits every component g
-    into g(a_j = 0), which does not contain j, and g - g(a_j = 0), which does.
-    Cost O(|top| * 2^|top| * |A|^n) in numpy."""
-    t = _tensor(f)
+def _components(f: TabulatedFunction) -> dict[int, TabulatedFunction]:
+    """Components f_J for every J, by the per-coordinate subset-lattice
+    (fast Moebius) transform on the |A|^n value tensor: each coordinate j
+    splits every component g into g(a_j = 0), which does not contain j, and
+    g - g(a_j = 0), which does.  Cost O(n * 2^n * |A|^n) in numpy."""
+    comps = {0: _tensor(f)}
     for j in range(f.arity):
-        if not top >> j & 1:
-            t = np.broadcast_to(t.take([0], axis=j), t.shape)
-    comps = {0: t}
-    for j in range(f.arity):
-        if top >> j & 1:
-            for mask, g in list(comps.items()):
-                at_zero = np.broadcast_to(g.take([0], axis=j), g.shape)
-                comps[mask] = at_zero
-                comps[mask | 1 << j] = g - at_zero
+        for mask, g in list(comps.items()):
+            at_zero = np.broadcast_to(g.take([0], axis=j), g.shape)
+            comps[mask] = at_zero
+            comps[mask | 1 << j] = g - at_zero
     return {
         mask: TabulatedFunction(
             f.domain_size, f.arity, f.prime, tuple((comps[mask] % f.prime).ravel().tolist())
@@ -163,19 +137,12 @@ def decompose(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> AbsorbingDecomposition:
     """Full absorbing decomposition: one component per subset of [n]."""
-    _check_budget(f, max_points)
-    full = (1 << f.arity) - 1
-    return AbsorbingDecomposition(f, _components_upto(f, full))
-
-
-def component_recursive(
-    f: TabulatedFunction, mask: int, max_points: int = DEFAULT_POINT_BUDGET
-) -> TabulatedFunction:
-    """The I-absorbing component of f, by the per-coordinate transform over
-    the coordinates in I."""
-    _check_budget(f, max_points)
-    _check_mask(f, mask)
-    return _components_upto(f, mask)[mask]
+    if len(f.table) > max_points:
+        raise TableBudgetError(
+            f"{f.domain_size}**{f.arity} = {len(f.table)} table points exceed "
+            f"the budget of {max_points}"
+        )
+    return AbsorbingDecomposition(f, _components(f))
 
 
 def component_moebius(f: TabulatedFunction, mask: int, a) -> int:

@@ -29,7 +29,8 @@ def table_index(args, size: int):
     them, the index is one new array, accumulated in place: in the
     narrowest type that holds size**len(args) - 1 when every array and
     numpy scalar is unsigned and that type is narrower than np.intp, else
-    in np.intp.
+    in np.intp.  Each argument is added in the index's type, so uint64
+    arguments give the same index as np.intp ones.
     Gather with ndarray.take: under [] a narrow index is slower than np.intp.
     """
     args = tuple(args)
@@ -38,7 +39,11 @@ def table_index(args, size: int):
         if isinstance(a, np.ndarray) and not isinstance(idx, np.ndarray):
             idx, offset = a.astype(_index_dtype(args, size)), idx * size
             if offset:
-                idx += offset
+                np.add(idx, offset, out=idx, dtype=idx.dtype)
+        elif isinstance(idx, np.ndarray):
+            idx *= size
+            # in the index's type: np.intp + np.uint64 would promote to float64
+            np.add(idx, a, out=idx, dtype=idx.dtype)
         else:
             idx *= size
             idx += a

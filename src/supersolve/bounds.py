@@ -52,11 +52,6 @@ def k_factor(mu: int, p: int, alpha: int) -> int:
     return (mu * (p**alpha - 1)) ** (alpha - 1)
 
 
-def tight_weight_bound(s: int, mu: int, cardinality: int) -> int:
-    """s * sum_i k_i * alpha_i * (p_i - 1) over the factorization of |A|."""
-    return make_bound_report(s, mu, cardinality).tight_bound
-
-
 def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
     """Closed-form bound s * |A|**(log2(mu) + log2(|A|) + 1), rounded up.
 

@@ -9,6 +9,9 @@ Each handler is attached to its sub-parser with set_defaults(handler=...)
 and takes the parsed argparse namespace; run() calls it and maps
 exceptions to exit codes.
 
+The command comes first: a -- before it is read as the command itself,
+so "supersolve -- solve ..." exits 2 with "invalid choice: '--'".
+
 Exit codes: 0 = satisfiable / success, 1 = no solution (the output
 distinguishes conditional from exhaustive), 2 = input error, 3 = internal
 theorem violation (never expected).  Machine output (--json, schema

@@ -5,19 +5,21 @@ checkable by brute force at desk scale:
 
 * for any map phi from the size-<=-k subsets of [n] into Z_p^m there is a
   set U with |U| <= k*m*(p-1) whose subsets alone reproduce the total sum
-  of phi;
+  of phi (Karolyi-Szabo; the Boolean case of the next one);
 * for functions f_1..f_m : A^n -> Z_p of absorbing degree <= k and any
   point a, there is such a U with f_i(a) = f_i(a restricted to U).
 
-Both searches scan candidate sets in canonical order (size ascending,
-then bitmask ascending) and raise TheoremViolation if the guaranteed
-bound is exhausted -- which can only mean a coding bug, never input data.
+Both searches are predicates over U for one scan, _first_set: canonical
+order (size ascending, then bitmask ascending), TheoremViolation if the
+guaranteed bound is exhausted -- which can only mean a coding bug, never
+input data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .absorbing import TabulatedFunction, absorbing_degree, restrict_vector
 from .bounds import is_prime
@@ -46,29 +48,25 @@ class SubsetFunction:
             raise ValueError("need n >= 1, k >= 0, m >= 1")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        expected = set(_masks_upto(self.n, self.k))
-        if set(self.values) != expected:
+        count = sum(comb(self.n, i) for i in range(self.k + 1))
+        if len(self.values) != count or not all(
+            0 <= mask < 1 << self.n and mask.bit_count() <= self.k for mask in self.values
+        ):
             raise ValueError(
-                f"values must cover exactly the {len(expected)} subsets of "
-                f"size <= {self.k}"
+                f"values must cover exactly the {count} subsets of size <= {self.k}"
             )
         for mask, vec in self.values.items():
             if len(vec) != self.m or any(not 0 <= v < self.p for v in vec):
                 raise ValueError(f"value at mask {mask} is not a vector in Z_{self.p}^{self.m}")
 
 
-def _masks_upto(n: int, k: int) -> list[int]:
-    """Subsets of [n] with |U| <= k as bitmasks: size ascending, then mask ascending."""
-    masks = [
-        sum(1 << i for i in idxs)
-        for size in range(min(k, n) + 1)
-        for idxs in combinations(range(n), size)
-    ]
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
-def _vec_add(a, b, p):
-    return tuple((x + y) % p for x, y in zip(a, b))
+def _first_set(n: int, bound: int, holds, what: str) -> int:
+    """First U (canonical order, one size at a time) with |U| <= bound and holds(U)."""
+    for size in range(bound + 1):
+        for u in sorted(sum(1 << i for i in idxs) for idxs in combinations(range(n), size)):
+            if holds(u):
+                return u
+    raise TheoremViolation(f"no witness of size <= {bound} for {what}")
 
 
 def ks_find_u(phi: SubsetFunction) -> int:
@@ -77,20 +75,15 @@ def ks_find_u(phi: SubsetFunction) -> int:
     Guaranteed to exist with |U| <= k*m*(p-1); returns the bitmask.
     """
     p = phi.p
-    total = (0,) * phi.m
-    for vec in phi.values.values():
-        total = _vec_add(total, vec, p)
-    bound = min(phi.n, phi.k * phi.m * (p - 1))
-    items = list(phi.values.items())
-    for u in _masks_upto(phi.n, bound):
-        partial = (0,) * phi.m
-        for mask, vec in items:
-            if mask & ~u == 0:
-                partial = _vec_add(partial, vec, p)
-        if partial == total:
-            return u
-    raise TheoremViolation(
-        f"no witness of size <= {bound} for n={phi.n}, k={phi.k}, p={p}, m={phi.m}"
+    total = [sum(column) % p for column in zip(*phi.values.values())]
+
+    def reproduces_total(u):
+        inside = (vec for mask, vec in phi.values.items() if mask & ~u == 0)
+        return [sum(column) % p for column in zip(*inside)] == total
+
+    return _first_set(
+        phi.n, min(phi.n, phi.k * phi.m * (p - 1)), reproduces_total,
+        f"n={phi.n}, k={phi.k}, p={p}, m={phi.m}",
     )
 
 
@@ -122,11 +115,11 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
     if any(not 0 <= v < size for v in a):
         raise ValueError(f"point {a} has a coordinate outside [0, {size})")
     targets = [f(a) for f in fs]
-    bound = min(n, k * len(fs) * (p - 1))
-    for u in _masks_upto(n, bound):
+
+    def keeps_values(u):
         restricted = restrict_vector(a, u)
-        if all(f(restricted) == t for f, t in zip(fs, targets)):
-            return u
-    raise TheoremViolation(
-        f"no witness of size <= {bound} for m={len(fs)} functions, k={k}, p={p}"
+        return all(f(restricted) == t for f, t in zip(fs, targets))
+
+    return _first_set(
+        n, min(n, k * len(fs) * (p - 1)), keeps_values, f"m={len(fs)} functions, k={k}, p={p}"
     )

@@ -8,12 +8,10 @@ from supersolve.absorbing import (
     TabulatedFunction,
     absorbing_degree,
     component_moebius,
-    component_recursive,
     decompose,
     is_absorbing_in,
     mask_indices,
     restrict_vector,
-    subset_mask,
 )
 
 AND = TabulatedFunction(2, 2, 2, (0, 0, 0, 1))
@@ -26,25 +24,20 @@ def all_points(size, n):
 
 
 def test_restrict_vector():
-    assert restrict_vector((1, 2, 3), subset_mask([1, 3])) == (1, 0, 3)
+    assert restrict_vector((1, 2, 3), 0b101) == (1, 0, 3)
     assert restrict_vector((1, 2, 3), 0) == (0, 0, 0)
     assert restrict_vector((1, 2, 3), 0b111) == (1, 2, 3)
 
 
 def test_mask_helpers():
-    assert subset_mask([1, 3]) == 0b101
     assert mask_indices(0b101) == [1, 3]
-    with pytest.raises(ValueError):
-        subset_mask([0])
 
 
-def test_component_recursive_and_examples():
-    empty = component_recursive(AND, 0)
-    assert empty.table == (0, 0, 0, 0)  # f(0,0) = 0
-    first = component_recursive(AND, 0b01)
-    assert first.table == (0, 0, 0, 0)  # f(a1, 0) - f(0,0) = 0
-    both = component_recursive(AND, 0b11)
-    assert both.table == AND.table  # all smaller components vanish
+def test_component_examples():
+    components = decompose(AND).components
+    assert components[0].table == (0, 0, 0, 0)  # f(0,0) = 0
+    assert components[0b01].table == (0, 0, 0, 0)  # f(a1, 0) - f(0,0) = 0
+    assert components[0b11].table == AND.table  # all smaller components vanish
 
 
 def test_component_moebius_examples():
@@ -72,8 +65,6 @@ def test_is_absorbing_in_examples():
 
 def test_mask_beyond_arity_rejected():
     with pytest.raises(ValueError, match="beyond arity"):
-        component_recursive(AND, 0b100)
-    with pytest.raises(ValueError, match="beyond arity"):
         component_moebius(AND, 0b1000, (1, 1))
     with pytest.raises(ValueError, match="beyond arity"):
         is_absorbing_in(AND, -1)
@@ -84,8 +75,6 @@ def _check_decomposition(f):
     points = all_points(f.domain_size, f.arity)
     for mask, comp in dec.components.items():
         assert is_absorbing_in(comp, mask), (f.table, mask)
-        # a proper mask fixes the coordinates outside it before the transform
-        assert component_recursive(f, mask) == comp, (f.table, mask)
     for idx, a in enumerate(points):
         total = sum(comp.table[idx] for comp in dec.components.values()) % f.prime
         assert total == f.table[idx]
@@ -148,8 +137,6 @@ def test_budget_refused():
     f = TabulatedFunction(2, 4, 2, (0,) * 16)
     with pytest.raises(TableBudgetError):
         decompose(f, max_points=8)
-    with pytest.raises(TableBudgetError):
-        component_recursive(f, 0b1, max_points=8)
     with pytest.raises(TableBudgetError):
         absorbing_degree(f, max_points=8)
 

@@ -180,3 +180,12 @@ def test_table_index_widens_narrow_arrays():
     first = np.array([1, 2], dtype=np.intp)
     table_index((first, first), 3)
     assert first.tolist() == [1, 2]
+    # uint64 arguments give the np.intp index, not a float64 cast error
+    wide = np.array([255, 1, 0], dtype=np.uint64)
+    for args in [(wide,) * 5, (np.uint64(7), wide, np.int64(2), wide, wide)]:
+        index = table_index(args, 256)
+        assert index.dtype == np.intp
+        assert index.tolist() == table_index([a.astype(np.intp) for a in args], 256).tolist()
+    assert table_index((wide,) * 5, 256).tolist() == [256**5 - 1, 0x0101010101, 0]
+    # and keep the narrow path when the index fits it
+    assert table_index((wide, wide), 256).dtype == np.uint16

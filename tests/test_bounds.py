@@ -9,7 +9,6 @@ from supersolve.bounds import (
     k_factor,
     loose_weight_bound,
     make_bound_report,
-    tight_weight_bound,
 )
 
 
@@ -34,10 +33,10 @@ def test_k_factor():
 
 
 def test_tight_weight_bound():
-    assert tight_weight_bound(1, 2, 4) == 12
-    assert tight_weight_bound(1, 2, 6) == 3
-    assert tight_weight_bound(2, 2, 2) == 2
-    assert tight_weight_bound(1, 2, 8) == 588
+    assert make_bound_report(1, 2, 4).tight_bound == 12
+    assert make_bound_report(1, 2, 6).tight_bound == 3
+    assert make_bound_report(2, 2, 2).tight_bound == 2
+    assert make_bound_report(1, 2, 8).tight_bound == 588
 
 
 def test_loose_weight_bound_exact_powers_of_two():

@@ -570,6 +570,15 @@ _HELP_AND_USAGE = [
      "supersolve: error: argument command: invalid choice: 'nope' (choose from "
      "'solve', 'brute', 'bench', 'bound', 'malcev', 'absorb', 'reduce-witness', "
      "'validate')\n"),
+    # no end-of-options marker before the command: argparse reads it as the command
+    (["--", "solve", "--algebra", "a.json", "--system", "s.txt"], 2,
+     "",
+     "usage: supersolve [-h]\n"
+     "                  {solve,brute,bench,bound,malcev,absorb,reduce-witness,validate}\n"
+     "                  ...\n"
+     "supersolve: error: argument command: invalid choice: '--' (choose from "
+     "'solve', 'brute', 'bench', 'bound', 'malcev', 'absorb', 'reduce-witness', "
+     "'validate')\n"),
     (["solve"], 2,
      "",
      "usage: supersolve solve [-h] --algebra ALGEBRA --system SYSTEM [--json]\n"

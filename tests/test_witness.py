@@ -46,6 +46,13 @@ def test_subset_function_validation():
         make_phi(2, 1, 2, {0: 1, 1: 0})
     with pytest.raises(ValueError, match="vector"):
         SubsetFunction(n=1, k=0, p=2, m=2, values={0: (1,)})
+    # the right number of keys, but one of them is not a subset of size <= k
+    with pytest.raises(ValueError, match="cover exactly"):
+        make_phi(2, 1, 2, {0: 1, 1: 0, 0b11: 0})
+    with pytest.raises(ValueError, match="cover exactly"):
+        make_phi(2, 1, 2, {0: 1, 1: 0, 0b100: 0})
+    with pytest.raises(ValueError, match="cover exactly"):
+        make_phi(2, 1, 2, {0: 1, 1: 0, -2: 0})
 
 
 def _ks_sum(phi, u):
@@ -139,3 +146,15 @@ def test_redweight_random_constructed_tuples():
             lambda mask: all(f(restrict_vector(a, mask)) == f(a) for f in fs),
         )
         assert u == first
+
+
+def test_ks_is_redweight_on_the_boolean_tabulation():
+    # f_i(a) = sum of phi_i(S) over S inside the support of a has absorbing
+    # degree <= k, and f_i(1..1 restricted to U) is phi_i's sum over U's
+    # subsets, so both searches must return the same first U
+    rng = random.Random(2024)
+    for _ in range(400):
+        n, k, p, m = rng.randint(1, 6), rng.randint(0, 2), rng.choice([2, 3]), rng.randint(1, 2)
+        values = {mask: tuple(rng.randrange(p) for _ in range(m)) for mask in masks_upto(n, k)}
+        fs = [_multilinear(n, {mask: vec[i] for mask, vec in values.items()}, p) for i in range(m)]
+        assert ks_find_u(SubsetFunction(n, k, p, m, values)) == redweight_find_u(fs, k, (1,) * n)
