@@ -6,7 +6,7 @@ coordinates in I and dies whenever one of them is 0.  XOR stops at
 singletons (degree 1); AND needs the full pair (degree 2).
 """
 
-from supersolve import TabulatedFunction, absorbing_degree, decompose, mask_indices
+from supersolve.absorbing import TabulatedFunction, absorbing_degree, decompose, mask_indices
 
 AND = TabulatedFunction(domain_size=2, arity=2, prime=2, table=(0, 0, 0, 1))
 XOR = TabulatedFunction(domain_size=2, arity=2, prime=2, table=(0, 1, 1, 0))

@@ -4,7 +4,6 @@ Groups always have one (x * y^-1 * z); the two-element lattice provably
 has none, which the closure search certifies by exhausting the clone.
 """
 
-from supersolve import MalcevNotFound, find_malcev, format_term, ternary_term_clone
 from supersolve.groups import (
     cyclic_group,
     dihedral_group,
@@ -12,6 +11,8 @@ from supersolve.groups import (
     quaternion_group,
     two_element_lattice,
 )
+from supersolve.malcev import MalcevNotFound, find_malcev, ternary_term_clone
+from supersolve.terms import format_term
 
 algebras = [
     cyclic_group(2),

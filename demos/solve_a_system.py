@@ -6,8 +6,9 @@ agree on solvability, but they report different first solutions because
 they scan in different orders.
 """
 
-from supersolve import bench, parse_system, solve_bounded, solve_brute
+from supersolve import parse_system, solve_bounded, solve_brute
 from supersolve.groups import cyclic_group
+from supersolve.solver import bench
 
 z4 = cyclic_group(4)
 system = parse_system("""

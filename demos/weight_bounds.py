@@ -6,8 +6,9 @@ the complexity accounting.  The candidate count it implies grows
 polynomially in n, while the full space grows exponentially.
 """
 
-from supersolve import bounded_weight_count, make_bound_report
+from supersolve.bounds import make_bound_report
 from supersolve.groups import cyclic_group
+from supersolve.solver import bounded_weight_count
 
 for card in (2, 3, 4, 6, 8):
     report = make_bound_report(s=1, mu=2, cardinality=card)

@@ -6,14 +6,8 @@ Second: functions of low absorbing degree cannot tell a point from its
 restriction to such a U.  Both witnesses are found by explicit scan.
 """
 
-from supersolve import (
-    SubsetFunction,
-    TabulatedFunction,
-    ks_find_u,
-    mask_indices,
-    redweight_find_u,
-    restrict_vector,
-)
+from supersolve.absorbing import TabulatedFunction, mask_indices, restrict_vector
+from supersolve.witness import SubsetFunction, ks_find_u, redweight_find_u
 
 phi = SubsetFunction(
     n=3, k=1, p=2, m=1,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import table_index
+from .algebra import table_index, table_length_mismatch
 from .bounds import is_prime
 
 DEFAULT_POINT_BUDGET = 2**20
@@ -45,11 +45,8 @@ class TabulatedFunction:
             raise ValueError(f"arity must be >= 0, got {self.arity}")
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
-        expected = self.domain_size**self.arity
-        if len(self.table) != expected:
-            raise ValueError(
-                f"table length {len(self.table)}, expected {expected}"
-            )
+        if mismatch := table_length_mismatch(self.domain_size, self.arity, len(self.table)):
+            raise ValueError(mismatch)
         # two C-level reductions; a tuple converts to numpy slower than this
         if min(self.table) < 0 or max(self.table) >= self.prime:
             j = next(j for j, v in enumerate(self.table) if not 0 <= v < self.prime)
@@ -87,8 +84,11 @@ def _check_mask(f: TabulatedFunction, mask: int):
 
 
 def _tensor(f: TabulatedFunction) -> np.ndarray:
-    """The table as an |A| x ... x |A| array, one axis per coordinate."""
-    return np.asarray(f.table, dtype=np.int64).reshape((f.domain_size,) * f.arity)
+    """The table as an |A| x ... x |A| array, one axis per coordinate: in
+    int64 when every transform value, below p * 2**n in magnitude, fits
+    it, else in Python ints."""
+    dtype = np.int64 if f.prime << f.arity < 2**63 else object
+    return np.asarray(f.table, dtype=dtype).reshape((f.domain_size,) * f.arity)
 
 
 def _components(f: TabulatedFunction) -> dict[int, TabulatedFunction]:
@@ -136,11 +136,15 @@ class AbsorbingDecomposition:
 def decompose(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> AbsorbingDecomposition:
-    """Full absorbing decomposition: one component per subset of [n]."""
-    if len(f.table) > max_points:
+    """Full absorbing decomposition: one component per subset of [n].
+
+    The budget counts 2**n components of |A|**n points each, and at least
+    2**n points each, so that a one-element domain's components count too.
+    """
+    if max(len(f.table), 1 << f.arity) << f.arity > max_points:
         raise TableBudgetError(
-            f"{f.domain_size}**{f.arity} = {len(f.table)} table points exceed "
-            f"the budget of {max_points}"
+            f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
+            f"exceed the budget of {max_points}"
         )
     return AbsorbingDecomposition(f, _components(f))
 

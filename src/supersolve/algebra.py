@@ -59,6 +59,11 @@ def _index_dtype(args, size: int) -> np.dtype:
     return np.dtype(np.intp)
 
 
+def carrier_dtype(size: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every element of a size-element carrier."""
+    return np.min_scalar_type(size - 1)
+
+
 def digits(start: int, stop: int, base: int, width: int, dtype) -> np.ndarray:
     """Rows start..stop-1 of itertools.product(range(base), repeat=width),
     as a column-major (stop - start, width) array: the argument tuples at
@@ -74,6 +79,17 @@ def digits(start: int, stop: int, base: int, width: int, dtype) -> np.ndarray:
         if place < stop:
             out[:, t] = ranks // place % base
     return out
+
+
+def table_length_mismatch(size: int, arity: int, length: int) -> str | None:
+    """None if a table of length entries fits arity arguments over size
+    elements, else "table length L, expected E".  When size**arity plainly
+    exceeds length (its lower bound 2**(arity * (size.bit_length() - 1))
+    does), E is written as size**arity rather than computed."""
+    if size >= 2 and arity * (size.bit_length() - 1) > length.bit_length():
+        return f"table length {length}, expected {size}**{arity}"
+    expected = size**arity
+    return None if length == expected else f"table length {length}, expected {expected}"
 
 
 @dataclass(frozen=True)
@@ -104,11 +120,9 @@ class FiniteAlgebra:
             seen.add(op.name)
             if op.arity < 0:
                 raise AlgebraError(f"{where}: negative arity")
-            expected = self.size**op.arity
-            if len(op.table) != expected:
+            if mismatch := table_length_mismatch(self.size, op.arity, len(op.table)):
                 raise AlgebraError(
-                    f"{where}: table length {len(op.table)}, expected "
-                    f"{expected} for arity {op.arity} and size {self.size}"
+                    f"{where}: {mismatch} for arity {op.arity} and size {self.size}"
                 )
             for j, v in enumerate(op.table):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.size:

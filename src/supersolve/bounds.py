@@ -21,8 +21,35 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 
+# Miller-Rabin to these bases decides primality exactly below _MR_LIMIT
+# (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Exact primality test, in time polynomial in n's digits; a number
+    past _MR_LIMIT with no factor among _MR_BASES raises ValueError."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to test whether it is prime")
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**r with d odd
+    d = (n - 1) >> r
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(cardinality: int) -> list[tuple[int, int]]:
@@ -114,13 +141,13 @@ class BoundReport:
     mu: int
     cardinality: int
     s: int
+    n: int | None
     factorization: tuple[tuple[int, int], ...]
     k_list: tuple[int, ...]
     tight_bound: int
     loose_bound: int
     effective_bound: int
     e: int
-    n: int | None = None
 
 
 def make_bound_report(s: int, mu: int, cardinality: int, n: int | None = None) -> BoundReport:
@@ -129,6 +156,9 @@ def make_bound_report(s: int, mu: int, cardinality: int, n: int | None = None) -
         raise ValueError(f"s must be >= 1, got {s}")
     if n is not None and n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    # before factorize: an algebra without operations may have any size
+    if mu < 1:
+        raise ValueError(f"mu (the largest operation arity) must be >= 1, got {mu}")
     factors = factorize(cardinality)
     ks = [k_factor(mu, p, a) for p, a in factors]
     tight = s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))
@@ -143,11 +173,11 @@ def make_bound_report(s: int, mu: int, cardinality: int, n: int | None = None) -
         mu=mu,
         cardinality=cardinality,
         s=s,
+        n=n,
         factorization=tuple(factors),
         k_list=tuple(ks),
         tight_bound=tight,
         loose_bound=loose,
         effective_bound=effective,
         e=loose + 1,
-        n=n,
     )

@@ -26,11 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import absorbing, solver, witness
 from .algebra import FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
 from .bounds import make_bound_report
-from .malcev import MalcevNotFound, find_malcev
+from .malcev import DEFAULT_CAP, MalcevNotFound, find_malcev
 from .solver import (
     NoSolutionExhaustive,
     NoSolutionInBoundedSet,
@@ -65,24 +66,19 @@ def _emit(args: argparse.Namespace, doc: dict, human: str | None = None) -> None
         print(human)
 
 
+_VERDICT_KINDS = {
+    SolutionFound: "solution_found",
+    NoSolutionInBoundedSet: "no_solution_in_bounded_set",
+    NoSolutionExhaustive: "no_solution_exhaustive",
+}
+
+
 def _verdict_doc(outcome: SolveOutcome) -> dict:
     v = outcome.verdict
-    if isinstance(v, SolutionFound):
-        verdict = {
-            "kind": "solution_found",
-            "assignment": list(v.assignment),
-            "verified": v.verified,
-        }
-    elif isinstance(v, NoSolutionInBoundedSet):
-        verdict = {"kind": "no_solution_in_bounded_set", "bound": v.bound, "conditional": v.conditional}
-    else:
-        verdict = {"kind": "no_solution_exhaustive"}
     return {
-        "verdict": verdict,
-        "stats": {
-            "candidates_tested": outcome.stats.candidates_tested,
-            "term_evaluations": outcome.stats.term_evaluations,
-        },
+        # vars, not asdict: asdict would deep-copy the assignment, about 40 us a solve
+        "verdict": {"kind": _VERDICT_KINDS[type(v)], **vars(v)},
+        "stats": asdict(outcome.stats),
     }
 
 
@@ -158,16 +154,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     report = make_bound_report(args.s, max_arity(alg), alg.size, n=args.n)
     doc = {
         "algebra": alg.name,
-        "mu": report.mu,
-        "cardinality": report.cardinality,
-        "s": report.s,
-        "n": report.n,
-        "factorization": [list(f) for f in report.factorization],
-        "k_list": list(report.k_list),
-        "tight_bound": report.tight_bound,
-        "loose_bound": report.loose_bound,
-        "effective_bound": report.effective_bound,
-        "e": report.e,
+        **asdict(report),
         "note": "bounds assume the algebra is supernilpotent",
     }
     _emit(args, doc)
@@ -178,12 +165,7 @@ def _cmd_malcev(args: argparse.Namespace) -> int:
     alg = load_algebra(_read(args.algebra))
     result = find_malcev(alg, include_constants=args.constants, cap=args.cap)
     if isinstance(result, MalcevNotFound):
-        doc = {
-            "algebra": alg.name,
-            "found": False,
-            "complete": result.complete,
-            "tables_explored": result.tables_explored,
-        }
+        doc = {"algebra": alg.name, "found": False, **asdict(result)}
         human = (
             "no Mal'cev term exists (closure exhausted)"
             if result.complete
@@ -243,17 +225,16 @@ def _cmd_reduce_witness(args: argparse.Namespace) -> int:
             values={int(mask): tuple(vec) for mask, vec in values.items()},
         )
         u = witness.ks_find_u(phi)
-        bound = phi.k * phi.m * (phi.p - 1)
     elif mode == "redweight":
         k, a, raw_fs = json_fields(
             raw, {"k": "an integer", "a": "a list of integers", "functions": "a list"}
         )
         fs = [_load_function(rf, f"functions[{i}]") for i, rf in enumerate(raw_fs)]
         u = witness.redweight_find_u(fs, k, tuple(a))
-        p = fs[0].prime if fs else 2
-        bound = k * len(fs) * (p - 1)
+        m, p = len(fs), fs[0].prime if fs else 2
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'ks' or 'redweight'")
+    bound = witness.witness_bound(k, m, p)
     indices = absorbing.mask_indices(u)
     doc = {
         "mode": mode,
@@ -328,7 +309,7 @@ def _bound_args(p: argparse.ArgumentParser) -> None:
 def _malcev_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algebra", required=True)
     p.add_argument("--constants", action="store_true", help="allow polynomial (not just term) operations")
-    p.add_argument("--cap", type=int, default=10**6, help="closure size cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure size cap")
     p.add_argument("--json", action="store_true")
 
 

@@ -4,11 +4,13 @@ The closure runs over function tables, not terms: starting from the three
 projections (plus every constant, when polynomial rather than term
 operations are wanted), fundamental operations are applied pointwise and
 new tables are queued breadth-first, in batches of argument tuples over
-tables held in the carrier's narrowest unsigned dtype.  Each table
+tables held in algebra.carrier_dtype, as the solver's are.  Each table
 remembers the first term that produced it, so returned witnesses are
 minimal in BFS layer count.
-The table space is finite, hence exhaustion proves nonexistence; a cap
-bounds runaway closures and is reported as incompleteness, not an error.
+The table space is finite, hence exhaustion proves nonexistence; a cap on
+the tables (DEFAULT_CAP, also the command line's default) bounds runaway
+closures and is reported as incompleteness, not an error.  _close checks
+the cap and runs the closure for both entry points.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, digits, table_index
+from .algebra import FiniteAlgebra, carrier_dtype, digits, table_index
 from .terms import App, Const, Term, Var
 
 DEFAULT_CAP = 10**6
@@ -80,7 +82,7 @@ class _Closure:
         self.stop = stop_at_malcev
         size = alg.size
         self.length = size**3
-        self.dtype = np.min_scalar_type(size - 1)
+        self.dtype = carrier_dtype(size)
         self.op_arrays = [np.asarray(op.table, dtype=self.dtype) for op in alg.operations]
         x, y = digits(0, size**2, size, 2, self.dtype).T
         self._idx_xyy = table_index((x, y, y), size)
@@ -163,6 +165,16 @@ class _Closure:
             lo = snapshot
 
 
+def _close(
+    alg: FiniteAlgebra, include_constants: bool, cap: int, stop_at_malcev: bool
+) -> tuple[_Closure, bool]:
+    """The closure run to fixpoint or cap, and whether it is complete."""
+    if cap < 3:
+        raise ValueError(f"cap must be >= 3, got {cap}")
+    closure = _Closure(alg, include_constants, stop_at_malcev)
+    return closure, closure.run(cap)
+
+
 def _to_table(closure: _Closure, i: int) -> TernaryFunctionTable:
     return TernaryFunctionTable(
         closure.alg.size,
@@ -178,12 +190,8 @@ def ternary_term_clone(
 ) -> tuple[list[TernaryFunctionTable], bool]:
     """All ternary term (or polynomial) operations reachable from the
     projections, with witness terms; the flag reports completeness."""
-    if cap < 3:
-        raise ValueError(f"cap must be >= 3, got {cap}")
-    closure = _Closure(alg, include_constants, stop_at_malcev=False)
-    complete = closure.run(cap)
-    tables = [_to_table(closure, i) for i in range(len(closure.tables))]
-    return tables, complete
+    closure, complete = _close(alg, include_constants, cap, stop_at_malcev=False)
+    return [_to_table(closure, i) for i in range(len(closure.tables))], complete
 
 
 def find_malcev(
@@ -192,10 +200,7 @@ def find_malcev(
     cap: int = DEFAULT_CAP,
 ) -> TernaryFunctionTable | MalcevNotFound:
     """First Mal'cev table in BFS order, or a (complete?) nonexistence report."""
-    if cap < 3:
-        raise ValueError(f"cap must be >= 3, got {cap}")
-    closure = _Closure(alg, include_constants, stop_at_malcev=True)
-    complete = closure.run(cap)
+    closure, complete = _close(alg, include_constants, cap, stop_at_malcev=True)
     if closure.malcev_index is not None:
         return _to_table(closure, closure.malcev_index)
     return MalcevNotFound(complete=complete, tables_explored=len(closure.tables))

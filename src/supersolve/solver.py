@@ -24,8 +24,8 @@ a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
 a chunk.  Chunks of both scans are capped by cells as well as rows, so
 their memory does not grow with n, and candidates and tables are
-carried in the narrowest unsigned dtype that holds the carrier, so that
-table_index accumulates its gather indices narrow too.
+carried in algebra.carrier_dtype, the narrowest unsigned dtype that holds
+the carrier, so that table_index accumulates its gather indices narrow too.
 Reported statistics do not depend on any of this: they are exact
 sequential-scan equivalents, candidates tested until the verdict, and
 tree nodes evaluated, where a candidate evaluates equations left to
@@ -41,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, digits, max_arity, table_index
+from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_index
 from .bounds import make_bound_report
 from .malcev import TernaryFunctionTable, is_malcev
 from .terms import (
@@ -134,11 +134,6 @@ def enumerate_bounded_weight(n: int, w: int, size: int, z: int = 0):
 # vectorized scan
 
 
-def _carrier(size: int) -> np.dtype:
-    """Narrowest unsigned dtype holding every element of a size-element carrier."""
-    return np.min_scalar_type(size - 1)
-
-
 def _chunk_rows(n: int, chunk: int) -> int:
     """Rows per chunk: at most chunk rows and 8 * chunk cells."""
     return max(1, min(chunk, 8 * chunk // max(n, 1)))
@@ -146,7 +141,7 @@ def _chunk_rows(n: int, chunk: int) -> int:
 
 def _lex_chunks(n: int, size: int, chunk: int = _CHUNK):
     """All of A^n, lexicographic (leftmost coordinate most significant)."""
-    total, dtype, rows = size**n, _carrier(size), _chunk_rows(n, chunk)
+    total, dtype, rows = size**n, carrier_dtype(size), _chunk_rows(n, chunk)
     for start in range(0, total, rows):
         yield digits(start, min(start + rows, total), size, n, dtype)
 
@@ -163,7 +158,7 @@ def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
     contiguously.
     """
     base = size - 1
-    dtype = _carrier(size)
+    dtype = carrier_dtype(size)
     rows = _chunk_rows(n, chunk)
     for weight in range(min(w, n) + 1):
         block = base**weight
@@ -235,7 +230,7 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks):
     The stats count as if rows were tested one by one, each evaluating its
     equations' tree nodes in order and stopping at the first mismatch.
     """
-    dtype = _carrier(alg.size)
+    dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
     nodes, plan, frees = planned
     tested = evaluated = 0

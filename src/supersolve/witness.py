@@ -48,16 +48,38 @@ class SubsetFunction:
             raise ValueError("need n >= 1, k >= 0, m >= 1")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        count = sum(comb(self.n, i) for i in range(self.k + 1))
+        count = _subsets_upto(self.n, self.k, len(self.values))
         if len(self.values) != count or not all(
-            0 <= mask < 1 << self.n and mask.bit_count() <= self.k for mask in self.values
+            0 <= mask and mask.bit_length() <= self.n and mask.bit_count() <= self.k
+            for mask in self.values
         ):
             raise ValueError(
                 f"values must cover exactly the {count} subsets of size <= {self.k}"
+                if count is not None
+                else f"values must cover exactly the subsets of size <= {self.k}, "
+                f"more than the {len(self.values)} given"
             )
         for mask, vec in self.values.items():
             if len(vec) != self.m or any(not 0 <= v < self.p for v in vec):
                 raise ValueError(f"value at mask {mask} is not a vector in Z_{self.p}^{self.m}")
+
+
+def _subsets_upto(n: int, k: int, keys: int) -> int | None:
+    """The number of subsets of [n] of size <= k, or None once a partial
+    sum passes keys with terms left: the full sum need not be computed,
+    and its digits need not fit in a message."""
+    count = 0
+    for i in range(min(k, n) + 1):
+        count += comb(n, i)
+        if count > keys and i < min(k, n):
+            return None
+    return count
+
+
+def witness_bound(k: int, m: int, p: int) -> int:
+    """k*m*(p-1): the size a witness set U never needs to exceed, for m
+    coordinates in Z_p of absorbing degree (or subset size) <= k."""
+    return k * m * (p - 1)
 
 
 def _first_set(n: int, bound: int, holds, what: str) -> int:
@@ -72,7 +94,7 @@ def _first_set(n: int, bound: int, holds, what: str) -> int:
 def ks_find_u(phi: SubsetFunction) -> int:
     """First U (canonical order) whose subsets reproduce phi's total sum.
 
-    Guaranteed to exist with |U| <= k*m*(p-1); returns the bitmask.
+    Guaranteed to exist with |U| <= witness_bound(k, m, p); returns the bitmask.
     """
     p = phi.p
     total = [sum(column) % p for column in zip(*phi.values.values())]
@@ -82,7 +104,7 @@ def ks_find_u(phi: SubsetFunction) -> int:
         return [sum(column) % p for column in zip(*inside)] == total
 
     return _first_set(
-        phi.n, min(phi.n, phi.k * phi.m * (p - 1)), reproduces_total,
+        phi.n, min(phi.n, witness_bound(phi.k, phi.m, p)), reproduces_total,
         f"n={phi.n}, k={phi.k}, p={p}, m={phi.m}",
     )
 
@@ -91,7 +113,7 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
     """First U (canonical order) with f_i(a) = f_i(a restricted to U) for all i.
 
     Every f_i must have absorbing degree <= k (HypothesisViolation
-    otherwise); the witness is guaranteed with |U| <= k*len(fs)*(p-1).
+    otherwise); the witness is guaranteed with |U| <= witness_bound(k, len(fs), p).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -121,5 +143,6 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
         return all(f(restricted) == t for f, t in zip(fs, targets))
 
     return _first_set(
-        n, min(n, k * len(fs) * (p - 1)), keeps_values, f"m={len(fs)} functions, k={k}, p={p}"
+        n, min(n, witness_bound(k, len(fs), p)), keeps_values,
+        f"m={len(fs)} functions, k={k}, p={p}",
     )

@@ -141,6 +141,26 @@ def test_budget_refused():
         absorbing_degree(f, max_points=8)
 
 
+def test_budget_counts_every_component():
+    # 2**4 components of 16 points: 256 points, refused below that
+    f = TabulatedFunction(2, 4, 2, (0,) * 16)
+    decompose(f, max_points=256)
+    with pytest.raises(TableBudgetError):
+        decompose(f, max_points=255)
+    # a one-element domain has one point but still 2**n components
+    decompose(TabulatedFunction(1, 10, 2, (1,)))
+    with pytest.raises(TableBudgetError, match=r"^2\*\*11 components"):
+        decompose(TabulatedFunction(1, 11, 2, (1,)))
+
+
+def test_decomposition_with_a_prime_beyond_int64():
+    # the transform's values exceed int64 here, so they are Python ints
+    p = 2**64 - 59
+    rng = random.Random(7)
+    for size, n in [(2, 3), (3, 2), (1, 5)]:
+        _check_decomposition(TabulatedFunction(size, n, p, tuple(rng.randrange(p) for _ in range(size**n))))
+
+
 def test_decomposition_golden_dump():
     dump = decompose(AND).to_json_dict()
     assert dump == {

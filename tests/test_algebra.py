@@ -14,6 +14,7 @@ from supersolve.algebra import (
     max_arity,
     render_algebra,
     table_index,
+    table_length_mismatch,
 )
 from supersolve.groups import cyclic_group
 
@@ -48,6 +49,21 @@ def test_load_rejects_wrong_table_length():
     text = Z4_FILE.replace("3,0,1,2]},", "3,0,1]},")
     with pytest.raises(AlgebraError, match="table length"):
         load_algebra(text)
+
+
+def test_table_length_mismatch_skips_huge_powers():
+    # the ordinary message names the expected length
+    assert table_length_mismatch(4, 2, 15) == "table length 15, expected 16"
+    assert table_length_mismatch(4, 2, 16) is None
+    assert table_length_mismatch(1, 10**6, 1) is None
+    # past the length's bit length the power is written out, not computed
+    assert table_length_mismatch(2, 2_000_000, 1) == "table length 1, expected 2**2000000"
+    assert table_length_mismatch(10**40, 3, 8) == f"table length 8, expected {10**40}**3"
+    for size, arity in itertools.product(range(1, 9), range(6)):
+        for length in (size**arity - 1, size**arity, size**arity + 1):
+            assert (table_length_mismatch(size, arity, length) is None) == (length == size**arity)
+    with pytest.raises(AlgebraError, match=r"table length 1, expected 2\*\*2000000 for arity"):
+        FiniteAlgebra("a", 2, (OperationTable("f", 2_000_000, (0,)),))
 
 
 def test_load_rejects_bad_json_and_missing_fields():

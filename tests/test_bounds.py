@@ -14,6 +14,19 @@ from supersolve.bounds import (
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # against trial division, past the squares of the Miller-Rabin bases
+    for n in range(-2, 20000):
+        assert is_prime(n) == (n >= 2 and factorize(n) == [(n, 1)]), n
+    # the least strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37, and
+    # primes past int64
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and not is_prime(2**64 - 57)
+    # instant, where trial division would run for years
+    assert is_prime(2305843009213693951)
+    assert not is_prime(2**89)
+    with pytest.raises(ValueError, match="too large to test"):
+        is_prime(2**89 - 1)
 
 
 def test_factorize():
@@ -110,3 +123,10 @@ def test_cardinality_one():
     report = make_bound_report(1, 2, 1)
     assert report.tight_bound == 0
     assert report.factorization == ()
+
+
+def test_bound_report_checks_mu_before_factorizing():
+    # an algebra with no operations may have any size: factorizing
+    # 2**61 - 1 by trial division would not finish
+    with pytest.raises(ValueError, match=r"^mu \(the largest operation arity\) must be >= 1, got 0$"):
+        make_bound_report(1, 0, 2**61 - 1)

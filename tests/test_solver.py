@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from supersolve.algebra import AlgebraError, max_arity
 from supersolve.bounds import make_bound_report
-from supersolve.groups import cyclic_group
+from supersolve.groups import cyclic_group, dihedral_group
 from supersolve.malcev import find_malcev
 from supersolve.solver import (
     NoSolutionExhaustive,
@@ -139,6 +139,19 @@ def test_conditional_verdict_below_n(z2):
     out = solve_bounded(z2, parse_system("add(x16, x16) = #1"))
     assert out.verdict == NoSolutionInBoundedSet(bound=1, conditional=True)
     assert out.stats.candidates_tested == bounded_weight_count(16, 1, 2)
+
+
+def test_bounded_no_stays_conditional_over_non_supernilpotent_s3():
+    # S3 is not nilpotent, so the bound does not hold for it: the scan up to
+    # weight 3 finds nothing, while the solution (1, 3, 3, 3) has weight 4.
+    # Without a certificate of the precondition the "no" must stay conditional.
+    def comm(a, b):
+        return f"mul(mul(inv({a}), inv({b})), mul({a}, {b}))"
+
+    s3 = dihedral_group(3)
+    system = parse_system(comm(comm(comm("x1", "x2"), "x3"), "x4") + " = #1")
+    assert solve_bounded(s3, system).verdict == NoSolutionInBoundedSet(bound=3, conditional=True)
+    assert solve_brute(s3, system).verdict == SolutionFound((1, 3, 3, 3), verified=True)
 
 
 def test_errors_propagate(z4):

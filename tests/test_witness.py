@@ -53,6 +53,12 @@ def test_subset_function_validation():
         make_phi(2, 1, 2, {0: 1, 1: 0, 0b100: 0})
     with pytest.raises(ValueError, match="cover exactly"):
         make_phi(2, 1, 2, {0: 1, 1: 0, -2: 0})
+    # the count stops once it passes the keys: C(20000, i) need not be summed
+    with pytest.raises(ValueError, match="^values must cover exactly the subsets of size <= "
+                       "20000, more than the 1 given$"):
+        make_phi(20000, 20000, 2, {0: 1})
+    with pytest.raises(ValueError, match="^values must cover exactly the 3 subsets of size <= 1$"):
+        make_phi(2, 1, 2, {0: 1, 1: 0})
 
 
 def _ks_sum(phi, u):
