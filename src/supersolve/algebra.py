@@ -12,6 +12,7 @@ single lookups and numpy batches alike.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,20 +65,23 @@ def carrier_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(size - 1)
 
 
-def digits(start: int, stop: int, base: int, width: int, dtype) -> np.ndarray:
-    """Rows start..stop-1 of itertools.product(range(base), repeat=width),
-    as a column-major (stop - start, width) array: the argument tuples at
-    those row-major table indices.
+def digits(ranks: np.ndarray, base: int, width: int, dtype, cols=None) -> np.ndarray:
+    """The argument tuples at the row-major table indices ranks (an
+    ascending int64 array), width arguments over base elements, as a
+    column-major (len(ranks), len(cols)) array of their positions cols
+    (default: all).  For ranks start..stop-1 these are those rows of
+    itertools.product(range(base), repeat=width).
 
-    A column whose place value is at least stop holds only zeros; it is
-    not computed, since that place value may not fit in int64.
+    A column whose place value exceeds the last rank holds only zeros; it
+    is not computed, since that place value may not fit in int64.
     """
-    ranks = np.arange(start, stop, dtype=np.int64)
-    out = np.zeros((stop - start, width), dtype=dtype, order="F")
-    for t in range(width):
+    cols = range(width) if cols is None else cols
+    top = int(ranks[-1]) if len(ranks) else -1
+    out = np.zeros((len(ranks), len(cols)), dtype=dtype, order="F")
+    for j, t in enumerate(cols):
         place = base ** (width - 1 - t)
-        if place < stop:
-            out[:, t] = ranks // place % base
+        if place <= top:
+            out[:, j] = ranks // place % base
     return out
 
 
@@ -176,7 +180,7 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
     size = a.size * b.size
     ops = []
     for op_a, op_b in zip(a.operations, b.operations):
-        args = digits(0, size**op_a.arity, size, op_a.arity, np.intp)
+        args = digits(np.arange(size**op_a.arity), size, op_a.arity, np.intp)
         va = np.asarray(op_a.table).take(table_index((args // b.size).T, a.size))
         vb = np.asarray(op_b.table).take(table_index((args % b.size).T, b.size))
         table = np.ravel(va * b.size + vb).tolist()
@@ -203,11 +207,15 @@ _KINDS = {
 
 
 def parse_json(text: str):
-    """Decode a JSON input file; a syntax error becomes an AlgebraError."""
+    """Decode a JSON input file; a syntax error, or an integer too long for
+    int() to convert, becomes an AlgebraError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraError(f"invalid JSON: {exc}") from None
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise AlgebraError(f"invalid JSON: an integer has more than {limit} digits") from None
 
 
 def json_fields(doc, spec: dict[str, str], where: str = "") -> list:

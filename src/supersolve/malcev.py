@@ -68,7 +68,7 @@ def _arg_tuples(snapshot: int, arity: int, lo: int, rows: int):
     rest = snapshot ** (arity - lead)
     for high in range(snapshot**lead):
         for start in range(0, rest, rows):
-            combos = digits(start, min(start + rows, rest), snapshot, arity, np.intp)
+            combos = digits(np.arange(start, min(start + rows, rest)), snapshot, arity, np.intp)
             for t in range(lead):
                 combos[:, t] = high // snapshot ** (lead - 1 - t) % snapshot
             combos = combos[combos.max(axis=1) >= lo]
@@ -84,7 +84,7 @@ class _Closure:
         self.length = size**3
         self.dtype = carrier_dtype(size)
         self.op_arrays = [np.asarray(op.table, dtype=self.dtype) for op in alg.operations]
-        x, y = digits(0, size**2, size, 2, self.dtype).T
+        x, y = digits(np.arange(size**2), size, 2, self.dtype).T
         self._idx_xyy = table_index((x, y, y), size)
         self._idx_xxy = table_index((x, x, y), size)
         self._want_x, self._want_y = x, y
@@ -92,7 +92,7 @@ class _Closure:
         self.witnesses: list[Term] = []
         self.seen: set[bytes] = set()
         self.malcev_index: int | None = None
-        for i, column in enumerate(digits(0, self.length, size, 3, self.dtype).T):
+        for i, column in enumerate(digits(np.arange(self.length), size, 3, self.dtype).T):
             self.add(column.tobytes(), Var(i + 1))
         if include_constants:
             for c in range(size):

@@ -15,14 +15,25 @@ lexicographic order over the non-z elements.  The brute-force oracle
 scans all of A^n lexicographically.  Both solvers intern the terms once
 per solve, so that equal subterms share one node, and validate while
 they do: each distinct node is checked once, with the errors and the
-first fault of check_system, and no other pass checks the system.  They
-evaluate whole chunks of candidates by numpy table gathers: each
-distinct node once per chunk, and each equation only on the rows still
-satisfied.
+first fault of check_system, and no other pass checks the system.
+
+A system's value depends only on the variables V it mentions, so the
+scans build only V's columns of each chunk of candidates.  Each row's
+f, the index of the first equation it fails, comes from one evaluator
+of numpy table gathers: each distinct node once per chunk, and each
+equation only on the rows still satisfied.  Once a scan has tested
+|A|^|V| rows, and if that many fit in one chunk, the evaluator runs once
+on every point of A^V instead, and later rows look their f up in that
+memo.  The first solution has the base value (z, or 0 for brute) at
+every variable outside V, since resetting one would give an earlier
+solution, and it is re-verified through the plain evaluator.
 A bounded-scan chunk holds one or more support sets of one weight times
 a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
-a chunk.  Chunks of both scans are capped by cells as well as rows, so
+a chunk.  The supports come from a numpy table of subsets, grown by one
+element per weight while a layer fits in a chunk; larger layers extend
+it by prefixes drawn lazily from itertools.combinations.  Chunks of both
+scans are capped by cells of all n coordinates as well as by rows, so
 their memory does not grow with n, and candidates and tables are
 carried in algebra.carrier_dtype, the narrowest unsigned dtype that holds
 the carrier, so that table_index accumulates its gather indices narrow too.
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -139,43 +150,105 @@ def _chunk_rows(n: int, chunk: int) -> int:
     return max(1, min(chunk, 8 * chunk // max(n, 1)))
 
 
-def _lex_chunks(n: int, size: int, chunk: int = _CHUNK):
-    """All of A^n, lexicographic (leftmost coordinate most significant)."""
+def _lex_chunks(n: int, size: int, cols, chunk: int = _CHUNK):
+    """All of A^n, lexicographic (leftmost coordinate most significant),
+    restricted to the coordinates cols."""
     total, dtype, rows = size**n, carrier_dtype(size), _chunk_rows(n, chunk)
     for start in range(0, total, rows):
-        yield digits(start, min(start + rows, total), size, n, dtype)
+        yield digits(np.arange(start, min(start + rows, total)), size, n, dtype, cols)
 
 
-def _weight_chunks(n: int, w: int, size: int, z: int, chunk: int = _CHUNK):
-    """The canonical bounded-weight order, in vectorized blocks.
+def _extend(prefixes: np.ndarray, table: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Each row of prefixes followed by each row of table whose first element
+    exceeds the prefix's last, in order.
+
+    table is the lexicographic table of all r-subsets of range(n), and
+    above[l] counts its rows whose elements all exceed l: they are its
+    last rows.
+    """
+    counts = above[prefixes[:, -1]]
+    ends = counts.cumsum()
+    # a prefix's rows end at ends in the result and at len(table) in table
+    index = np.arange(ends[-1]) + np.repeat(len(table) - ends, counts)
+    return np.concatenate([np.repeat(prefixes, counts, axis=0), table[index]], axis=1)
+
+
+def _supports(n: int, w: int, per: int, table: np.ndarray):
+    """The w-subsets of range(n) in lexicographic order, as (per, w) arrays
+    (the last may be shorter).
+
+    table is the lexicographic table of all r-subsets, for some r <= w.  A
+    w-subset is a (w - r)-prefix followed by a row of table (see _extend),
+    and the prefixes come lazily from combinations, so a scan that stops
+    early never builds the rest of a layer.
+    """
+    r = table.shape[1]
+    if r == w:
+        yield from (table[i : i + per] for i in range(0, len(table), per))
+        return
+    above = np.array([comb(n - 1 - l, r) for l in range(n)], np.intp)
+    follow = above.tolist()  # rows of table that can follow each last element
+
+    def grow(done, group):
+        prefixes = np.array(group, np.intp).reshape(len(group), w - r)
+        return np.concatenate([done, _extend(prefixes, table, above)])
+
+    done, group, count = np.empty((0, w), np.intp), [], 0
+    for prefix in combinations(range(n - r), w - r):
+        group.append(prefix)
+        count += follow[prefix[-1]]
+        if len(done) + count >= per:
+            done = grow(done, group)
+            cut = len(done) - len(done) % per
+            yield from (done[i : i + per] for i in range(0, cut, per))
+            done, group, count = done[cut:], [], 0
+    done = grow(done, group) if group else done
+    yield from (done[i : i + per] for i in range(0, len(done), per))
+
+
+def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK):
+    """The canonical bounded-weight order, in vectorized blocks restricted
+    to the coordinates cols.
 
     Each chunk holds `per` consecutive support sets of one weight times
     `step` consecutive value tuples, lexicographic over the non-z elements:
     whole supports when a support's value block fits in a chunk, otherwise
     one support and a slice of its values.  Chunks here and in _lex_chunks
-    hold at most 8 * chunk cells, so their memory does not grow with n,
-    and are column-major, so the evaluator reads each variable's column
-    contiguously.
+    hold at most 8 * chunk cells of all n coordinates, so their memory
+    does not grow with n, and are column-major, so the evaluator reads
+    each variable's column contiguously.  The supports come from a table
+    of all r-subsets, grown by one element per weight while a layer fits
+    in a chunk's rows.
     """
     base = size - 1
     dtype = carrier_dtype(size)
     rows = _chunk_rows(n, chunk)
+    m = len(cols)
+    # each coordinate's row in a chunk's build: its column, or the spare row m
+    at = np.full(n, m, np.intp)
+    at[np.asarray(cols, np.intp)] = np.arange(m)
+    singles = np.arange(n)[:, None]
+    table = np.zeros((1, 0), np.intp)  # the lexicographic table of all r-subsets
     for weight in range(min(w, n) + 1):
         block = base**weight
         if not block:
             break  # a one-element carrier has no non-z values
+        if weight == 1:
+            table = singles
+        elif weight == table.shape[1] + 1 and comb(n, weight) <= rows:
+            table = _extend(table, singles, np.arange(n - 1, -1, -1))
         per, step = max(1, rows // block), min(block, rows)
-        supports = combinations(range(n), weight)
-        while batch := list(islice(supports, per)):
-            S = np.array(batch, dtype=np.intp).reshape(len(batch), weight)
-            picks = np.arange(len(batch))
+        vals = None
+        for S in _supports(n, weight, per, table):
+            where = at[S], np.arange(len(S))[:, None]
             for start in range(0, block, step):
-                vals = digits(start, min(start + step, block), base, weight, dtype)
-                vals += vals >= z
-                X = np.full((n, len(batch), len(vals)), z, dtype=dtype)
-                for t in range(weight):
-                    X[S[:, t], picks] = vals[:, t]
-                yield X.reshape(n, len(batch) * len(vals)).T
+                if vals is None or step < block:
+                    ranks = np.arange(start, min(start + step, block))
+                    vals = digits(ranks, base, weight, dtype)
+                    vals += vals >= z
+                X = np.full((m + 1, len(S), len(vals)), z, dtype=dtype)
+                X[where] = vals.T
+                yield X[:m].reshape(m, len(S) * len(vals)).T
 
 
 def _plan(alg: FiniteAlgebra, system: EquationSystem):
@@ -186,8 +259,9 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem):
     same checks, and the first fault is the one check_system raises.
     Returns the nodes as (term, arg ids); per equation (lhs id, rhs id,
     tree size, start, end), where start..end are the ids it computes
-    first; and the ids freed after each step, where step i + k computes
-    node i of equation k and step end + k compares it.
+    first; the ids freed after each step, where step i + k computes node i
+    of equation k and step end + k compares it; and the sorted coordinates
+    (variable index - 1) of the variables the system mentions.
     """
     if system.s < 1:
         raise ValueError("system must contain at least one equation")
@@ -217,32 +291,48 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem):
     frees: dict[int, list[int]] = {}
     for node, step in last.items():
         frees.setdefault(step, []).append(node)
-    return nodes, plan, frees
+    cols = sorted(t.index - 1 for t, _ in nodes if isinstance(t, Var))
+    return nodes, plan, frees, cols
 
 
-def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks):
+def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks, base: int):
     """The first satisfying candidate of the chunks as a re-verified
     SolutionFound (None if there is none), and the scan's SolveStats.
 
-    Chunks are tested whole by table gathers over the nodes of planned,
-    the system's _plan: each distinct node once, each equation on the rows
-    that satisfied those before it, each column freed after its last use.
+    Chunks hold the columns cols of planned, the system's _plan: the
+    coordinates the system mentions, on which alone its value depends.
+    Each row's f, the index of the first equation it fails (s if none),
+    comes from one evaluator: table gathers over the nodes of planned,
+    each distinct node once, each equation on the rows that satisfied those
+    before it, each column freed after its last use.  The evaluator runs
+    on the chunk's rows, or, once the scan has tested |A|^len(cols) rows
+    and if that many fit in one chunk, once on every point of A^cols: its
+    results are a memo that later rows read f from through table_index.
+    Built no sooner, the memo never costs more evaluations than the scan
+    has already made, so scans that stop early do not pay for it.
     The stats count as if rows were tested one by one, each evaluating its
-    equations' tree nodes in order and stopping at the first mismatch.
+    equations' tree nodes in order and stopping at the first mismatch: a
+    row with f = k evaluated equations 0..min(k, s - 1).  The first row
+    with f = s is the solution, with base at every other coordinate: in
+    the canonical order and in the lexicographic one, resetting such a
+    coordinate to base would give an earlier solution.
     """
     dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
-    nodes, plan, frees = planned
-    tested = evaluated = 0
-    for X in chunks:
+    nodes, plan, frees, cols = planned
+    s = len(plan)
+    fdtype = np.min_scalar_type(s)
+    at = {c + 1: j for j, c in enumerate(cols)}  # each variable's column
+
+    def failures(X):
+        f = np.zeros(len(X), fdtype)
         # rows: the rows of X still satisfied, which sel picks from X
-        rows, sel, values, alive = np.arange(len(X)), slice(None), {}, []
+        rows, sel, values = np.arange(len(X)), slice(None), {}
         for k, (lhs, rhs, _, start, end) in enumerate(plan):
-            alive.append(rows)
             for i in range(start, end):
                 t, args = nodes[i]
                 if isinstance(t, Var):
-                    values[i] = X[sel, t.index - 1]
+                    values[i] = X[sel, at[t.index]]
                 elif isinstance(t, Const):
                     values[i] = np.full(len(rows), t.value, dtype)
                 elif args:
@@ -256,21 +346,44 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks):
             for a in frees.get(end + k, ()):
                 del values[a]
             rows = sel = rows[keep]
+            f[rows] = k + 1
             if not len(rows):
                 break
             values = {i: v[keep] for i, v in values.items()}
-        else:  # rows[0] satisfies every equation
-            j = int(rows[0])
-            solution = tuple(int(v) for v in X[j])
+        return f
+
+    points = alg.size ** len(cols)
+    memo_fits = points <= _chunk_rows(system.n, _CHUNK)
+    memo = None
+    tested = evaluated = 0
+    for X in chunks:
+        if memo is None and memo_fits and tested >= points:
+            memo = failures(digits(np.arange(points), alg.size, len(cols), dtype))
+        if memo is None:
+            f = failures(X)
+        else:
+            f = memo.take(table_index(X.T, alg.size) if cols else np.zeros(len(X), np.intp))
+        j = int(f.argmax())
+        if f[j] == s:
+            assignment = [base] * system.n
+            for c, v in zip(cols, X[j].tolist()):
+                assignment[c] = v
+            solution = tuple(assignment)
             if not _verify(alg, system, solution):
                 raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
-            # the rows each equation ran on, cut at row j
-            cut = sum(eq[2] * int(np.searchsorted(a, j, "right")) for eq, a in zip(plan, alive))
-            stats = SolveStats(tested + j + 1, evaluated + cut)
+            stats = SolveStats(tested + j + 1, evaluated + _cost(f[: j + 1], plan))
             return SolutionFound(solution, verified=True), stats
         tested += len(X)
-        evaluated += sum(eq[2] * len(a) for eq, a in zip(plan, alive))
+        evaluated += _cost(f, plan)
     return None, SolveStats(tested, evaluated)
+
+
+def _cost(f: np.ndarray, plan) -> int:
+    """Tree nodes evaluated by rows with these f: equation k runs on the
+    rows with f >= k."""
+    return plan[0][2] * len(f) + sum(
+        eq[2] * int(np.count_nonzero(f >= k)) for k, eq in enumerate(plan[1:], 1)
+    )
 
 
 def _verify(alg, system, assignment) -> bool:
@@ -298,7 +411,9 @@ def solve_bounded(
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    found, stats = _scan(alg, system, planned, _weight_chunks(n, bound, alg.size, z, _CHUNK))
+    cols = planned[3]
+    chunks = _weight_chunks(n, bound, alg.size, z, cols, _CHUNK)
+    found, stats = _scan(alg, system, planned, chunks, z)
     if found is None:
         found = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
     return SolveOutcome(found, stats)
@@ -306,8 +421,9 @@ def solve_bounded(
 
 def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
     """Full enumeration of A^n in lexicographic order; unconditional verdict."""
-    chunks = _lex_chunks(system.n, alg.size, _CHUNK)
-    found, stats = _scan(alg, system, _plan(alg, system), chunks)
+    planned = _plan(alg, system)
+    chunks = _lex_chunks(system.n, alg.size, planned[3], _CHUNK)
+    found, stats = _scan(alg, system, planned, chunks, 0)
     return SolveOutcome(found or NoSolutionExhaustive(), stats)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -154,11 +155,17 @@ def test_table_index_and_digits_match_product():
                 assert table_index(args, base) == formula == args_rank
             for start in range(len(rows) + 1):
                 for stop in range(start, len(rows) + 1):
-                    block = digits(start, stop, base, width, np.uint8)
+                    block = digits(np.arange(start, stop), base, width, np.uint8)
                     assert block.shape == (stop - start, width)
                     assert block.dtype == np.uint8 and block.flags.f_contiguous
                     assert [tuple(r) for r in block.tolist()] == rows[start:stop]
-            columns = list(digits(0, len(rows), base, width, np.uint8).T)
+            # any ascending ranks, and any positions of the tuples
+            ranks = np.array(sorted(random.Random(width).choices(range(len(rows)), k=9)))
+            for cols in ([], list(range(width))[::2], [width - 1] if width else []):
+                block = digits(ranks, base, width, np.uint8, cols)
+                assert block.shape == (9, len(cols)) and block.flags.f_contiguous
+                assert block.tolist() == [[rows[r][c] for c in cols] for r in ranks]
+            columns = list(digits(np.arange(len(rows)), base, width, np.uint8).T)
             flat = table_index(columns, base)
             if width:
                 # unsigned columns: the narrowest type that holds the last index
@@ -182,8 +189,11 @@ def test_table_index_and_digits_match_product():
     # the leading place values 2**69 .. 2**63 do not fit in int64
     rows = list(itertools.islice(itertools.product(range(2), repeat=70), 1000))
     for start in (0, 500):
-        block = digits(start, 1000, 2, 70, np.uint8)
+        block = digits(np.arange(start, 1000), 2, 70, np.uint8)
         assert [tuple(r) for r in block.tolist()] == rows[start:]
+    assert digits(np.arange(990, 1000), 2, 70, np.uint8, [0, 69]).tolist() == [
+        [0, r % 2] for r in range(990, 1000)
+    ]
 
 
 def test_table_index_widens_narrow_arrays():

@@ -97,6 +97,9 @@ OVERSIZED = [
     ("absorb", "--function",
      '{"domain_size":1,"arity":0,"prime":618970019642690137449562111,"table":[0]}', "prime"),
     ("absorb", "--function", '{"domain_size":1,"arity":40,"prime":2,"table":[0]}', "budget"),
+    # past sys.get_int_max_str_digits(), which json.loads would report
+    ("validate", "--algebra", '{"name":"a","size":' + "9" * 5000 + ',"operations":[]}',
+     "an integer has more than"),
 ]
 
 

@@ -3,10 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from supersolve.algebra import AlgebraError, max_arity
+from supersolve.algebra import AlgebraError, digits, max_arity
 from supersolve.bounds import make_bound_report
 from supersolve.groups import cyclic_group, dihedral_group
 from supersolve.malcev import find_malcev
@@ -78,32 +78,91 @@ def test_vectorized_chunks_match_generator_order():
     for n, w, size, z in [(0, 0, 3, 0), (3, 1, 4, 0), (2, 1, 3, 1), (4, 4, 3, 2), (5, 2, 2, 0)]:
         chunked = [
             tuple(int(v) for v in row)
-            for X in _weight_chunks(n, w, size, z, chunk=7)
+            for X in _weight_chunks(n, w, size, z, cols=range(n), chunk=7)
             for row in X
         ]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
     for n, size in [(0, 2), (1, 4), (3, 3), (4, 2)]:
         chunked = [
             tuple(int(v) for v in row)
-            for X in _lex_chunks(n, size, chunk=5)
+            for X in _lex_chunks(n, size, cols=range(n), chunk=5)
             for row in X
         ]
         assert chunked == list(itertools.product(range(size), repeat=n))
-        assert all(X.dtype == np.uint8 for X in _lex_chunks(n, size, chunk=5))
+        assert all(X.dtype == np.uint8 for X in _lex_chunks(n, size, cols=range(n), chunk=5))
     # chunk=64 packs whole supports with a remainder (36 weight-2 supports,
     # 14 per chunk); at n=40 the cell cap binds (8 * 64 // 40 = 12 rows)
     for n, w, size, z, chunk in [(9, 3, 3, 1, 64), (40, 2, 2, 0, 64), (6, 4, 3, 0, 1)]:
-        chunks = list(_weight_chunks(n, w, size, z, chunk=chunk))
+        chunks = list(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk))
         assert all(X.dtype == np.uint8 for X in chunks)
         assert all(0 < len(X) <= min(chunk, 8 * chunk // n) or len(X) == 1 for X in chunks)
         chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
-    assert max(len(X) for X in _weight_chunks(9, 2, 3, 1, chunk=64)) == 14 * 4
+    assert max(len(X) for X in _weight_chunks(9, 2, 3, 1, cols=range(9), chunk=64)) == 14 * 4
     # the brute scan has the same cap: 8 * 16 // 10 = 12 rows per chunk
-    chunks = list(_lex_chunks(10, 2, chunk=16))
+    chunks = list(_lex_chunks(10, 2, cols=range(10), chunk=16))
     assert all(len(X) <= 12 for X in chunks) and len(chunks) == -(-1024 // 12)
     chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
     assert chunked == list(itertools.product(range(2), repeat=10))
+
+
+def test_projected_chunks_keep_rows_and_boundaries():
+    from supersolve.solver import _lex_chunks, _weight_chunks
+
+    # rows, chunk boundaries and order are those of all n columns,
+    # restricted to cols, including no column at all
+    rng = random.Random(5)
+    for n, w, size, z, chunk in [
+        (0, 0, 3, 0, 7), (5, 2, 2, 0, 7), (6, 4, 3, 2, 64), (9, 3, 3, 1, 64),
+        (40, 2, 2, 0, 64), (6, 4, 3, 0, 1), (8, 8, 2, 1, 65536), (12, 3, 4, 3, 7),
+    ]:
+        for cols in [[], [n - 1], sorted(rng.sample(range(n), n // 2))]:
+            cols = sorted({c for c in cols if 0 <= c < n})
+            full = list(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk))
+            part = list(_weight_chunks(n, w, size, z, cols=cols, chunk=chunk))
+            assert [len(X) for X in part] == [len(X) for X in full]
+            assert all(X.shape[1] == len(cols) and X.flags.f_contiguous for X in part)
+            rows = [tuple(int(v) for v in row) for X in part for row in X]
+            assert rows == [
+                tuple(a[c] for c in cols) for a in enumerate_bounded_weight(n, w, size, z)
+            ]
+    for n, size, chunk in [(0, 2, 5), (4, 3, 5), (10, 2, 16), (6, 4, 7)]:
+        for cols in [[], [0], [n - 1], list(range(0, n, 2))]:
+            cols = sorted({c for c in cols if 0 <= c < n})
+            part = list(_lex_chunks(n, size, cols=cols, chunk=chunk))
+            assert [len(X) for X in part] == [
+                len(X) for X in _lex_chunks(n, size, cols=range(n), chunk=chunk)
+            ]
+            rows = [tuple(int(v) for v in row) for X in part for row in X]
+            assert rows == [
+                tuple(a[c] for c in cols) for a in itertools.product(range(size), repeat=n)
+            ]
+
+
+def test_support_batches_match_combinations():
+    import time
+
+    from supersolve.solver import _supports
+
+    for n in range(13):
+        for w in range(n + 1):
+            for r in range(w + 1):
+                # the table of all r-subsets that _supports extends
+                subsets = list(itertools.combinations(range(n), r))
+                table = np.array(subsets, dtype=np.intp).reshape(len(subsets), r)
+                for per in (1, 7, 64, 65536):
+                    batches = list(_supports(n, w, per, table))
+                    assert all(len(S) == per for S in batches[:-1])
+                    assert 0 < len(batches[-1]) <= per
+                    got = [tuple(int(v) for v in S_row) for S in batches for S_row in S]
+                    assert got == list(itertools.combinations(range(n), w))
+    # a layer of C(200, 100) supports is never built whole
+    start = time.perf_counter()
+    first = next(_supports(200, 100, 2621, np.arange(200)[:, None]))
+    assert time.perf_counter() - start < 1
+    assert [tuple(S) for S in first.tolist()] == list(
+        itertools.islice(itertools.combinations(range(200), 100), 2621)
+    )
 
 
 def test_enumeration_covers_full_space_when_w_reaches_n():
@@ -306,6 +365,87 @@ def _assert_matches_reference(alg, system):
         assert out.stats.term_evaluations == ref_nodes
 
 
+def _variables(system):
+    """The indices of the variables the system mentions."""
+    found, stack = set(), [t for eq in system.equations for t in eq]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            found.add(t.index)
+        elif isinstance(t, App):
+            stack.extend(t.args)
+    return found
+
+
+@st.composite
+def _gapped_systems(draw, alg):
+    """One to three equations over a sparse set of variables: x_n always
+    occurs, x1 often does not, and most indices in between are missing."""
+    n = draw(st.integers(1, 5))
+    pool = sorted({v for v in draw(st.sets(st.integers(1, 5), max_size=2)) if v < n} | {n})
+    leaves = st.sampled_from([Var(v) for v in pool]) | st.builds(
+        Const, st.integers(0, alg.size - 1)
+    )
+
+    def apply(args):
+        return st.sampled_from(alg.operations).flatmap(
+            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
+                lambda a: App(op.name, tuple(a))
+            )
+        )
+
+    terms = st.recursive(leaves, apply, max_leaves=5)
+    system = EquationSystem(tuple(draw(st.lists(st.tuples(terms, terms), min_size=1, max_size=3))))
+    assume(n in _variables(system))
+    return system
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unmentioned_variables_keep_the_base_value(z2, z3, z4, k4, data):
+    import supersolve.solver as solver
+
+    alg = data.draw(st.sampled_from([z2, z3, z4, k4]))
+    system = data.draw(_gapped_systems(alg))
+    z = data.draw(st.integers(0, alg.size - 1))
+    n, mentioned = system.n, _variables(system)
+    bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
+    references = [
+        (0, _reference_scan(alg, system, itertools.product(range(alg.size), repeat=n))),
+        (z, _reference_scan(alg, system, enumerate_bounded_weight(n, bound, alg.size, z))),
+    ]
+    for chunk in (1, 7, 64, solver._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_CHUNK", chunk)
+            outcomes = [solve_brute(alg, system), solve_bounded(alg, system, z=z)]
+        for out, (base, (ref_sol, ref_tested, ref_nodes)) in zip(outcomes, references):
+            got = out.verdict.assignment if isinstance(out.verdict, SolutionFound) else None
+            assert got == ref_sol
+            assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
+            if got is not None:
+                assert all(v == base for i, v in enumerate(got, 1) if i not in mentioned)
+
+
+def test_memo_is_built_once_the_scan_has_tested_its_points(monkeypatch):
+    import supersolve.solver as solver
+
+    # 25 points over x3 and x20: the chunks of weights 0 and 1 (1 and 80
+    # rows) are evaluated directly, and the memo is built before weight 2
+    z5, built = cyclic_group(5), []
+
+    def spy(ranks, base, width, dtype, cols=None):
+        built.append(len(ranks))
+        return digits(ranks, base, width, dtype, cols)
+
+    monkeypatch.setattr(solver, "digits", spy)
+    system = parse_system(_sum_of_copies("add(x3, x20)", 5) + " = #1\nx3 = x3")
+    out = solve_bounded(z5, system, bound=2)
+    assert built.count(25) == 1
+    ref = _reference_scan(z5, system, enumerate_bounded_weight(20, 2, 5, 0))
+    assert out.verdict == NoSolutionInBoundedSet(bound=2)
+    assert (out.stats.candidates_tested, out.stats.term_evaluations) == ref[1:]
+
+
 def test_stats_match_sequential_reference(z4, z2, q8):
     rng = random.Random(123)
     for alg in (z2, z4, q8):
@@ -346,7 +486,8 @@ def test_shared_nodes_and_surviving_rows_match_reference(monkeypatch, order, tex
     import supersolve.solver as solver
 
     alg, system = cyclic_group(order), parse_system(text)
-    nodes, plan, _ = solver._plan(alg, system)
+    nodes, plan, _, cols = solver._plan(alg, system)
+    assert cols == sorted({v - 1 for v in _variables(system)})
     assert len(nodes) == distinct
     assert [eq[2] for eq in plan] == [
         term_length(lhs) + term_length(rhs) for lhs, rhs in system.equations
