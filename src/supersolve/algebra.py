@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,13 +51,23 @@ def table_index(args, size: int):
     return idx
 
 
+_INTP = np.dtype(np.intp)
+
+
 def _index_dtype(args, size: int) -> np.dtype:
     # numpy scalars count too: a signed one would not add into a narrow index
-    if all(a.dtype.kind == "u" for a in args if hasattr(a, "dtype")):
-        narrow = np.min_scalar_type(size ** len(args) - 1)
-        if narrow.itemsize < np.dtype(np.intp).itemsize:
-            return narrow
-    return np.dtype(np.intp)
+    for a in args:
+        if hasattr(a, "dtype") and a.dtype.kind != "u":
+            return _INTP
+    return _narrow_index_dtype(size, len(args))
+
+
+@lru_cache(maxsize=256)
+def _narrow_index_dtype(size: int, count: int) -> np.dtype:
+    """The narrowest type holding size**count - 1 if narrower than np.intp,
+    else np.intp."""
+    narrow = np.min_scalar_type(size**count - 1)
+    return narrow if narrow.itemsize < _INTP.itemsize else _INTP
 
 
 def carrier_dtype(size: int) -> np.dtype:

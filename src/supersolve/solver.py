@@ -24,9 +24,13 @@ of numpy table gathers: each distinct node once per chunk, and each
 equation only on the rows still satisfied.  Once a scan has tested
 |A|^|V| rows, and if that many fit in one chunk, the evaluator runs once
 on every point of A^V instead, and later rows look their f up in that
-memo.  The first solution has the base value (z, or 0 for brute) at
-every variable outside V, since resetting one would give an earlier
-solution, and it is re-verified through the plain evaluator.
+memo.  From then on the bounded scan counts each remaining weight layer
+that can hold no solution, because no solving point of A^V has that
+weight, in closed form from the memo, and never generates its rows;
+only a layer that holds a solution is still scanned.  The first solution
+has the base value (z, or 0 for brute) at every variable outside V,
+since resetting one would give an earlier solution, and it is
+re-verified through the plain evaluator.
 A bounded-scan chunk holds one or more support sets of one weight times
 a run of their value tuples: as many whole supports as fit, or one
 support and a slice of its values when a single support's values exceed
@@ -207,8 +211,9 @@ def _supports(n: int, w: int, per: int, table: np.ndarray):
 
 
 def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK):
-    """The canonical bounded-weight order, in vectorized blocks restricted
-    to the coordinates cols.
+    """The canonical bounded-weight order, as one (weight, chunks) pair per
+    weight layer, where chunks lazily yields the layer in vectorized blocks
+    restricted to the coordinates cols.
 
     Each chunk holds `per` consecutive support sets of one weight times
     `step` consecutive value tuples, lexicographic over the non-z elements:
@@ -218,7 +223,8 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
     does not grow with n, and are column-major, so the evaluator reads
     each variable's column contiguously.  The supports come from a table
     of all r-subsets, grown by one element per weight while a layer fits
-    in a chunk's rows.
+    in a chunk's rows.  It grows only when a layer's chunks are drawn, so a
+    layer whose chunks are never drawn costs no numpy work.
     """
     base = size - 1
     dtype = carrier_dtype(size)
@@ -229,14 +235,12 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
     at[np.asarray(cols, np.intp)] = np.arange(m)
     singles = np.arange(n)[:, None]
     table = np.zeros((1, 0), np.intp)  # the lexicographic table of all r-subsets
-    for weight in range(min(w, n) + 1):
-        block = base**weight
-        if not block:
-            break  # a one-element carrier has no non-z values
-        if weight == 1:
-            table = singles
-        elif weight == table.shape[1] + 1 and comb(n, weight) <= rows:
-            table = _extend(table, singles, np.arange(n - 1, -1, -1))
+
+    def layer(weight, block):
+        nonlocal table
+        # every layer up to this one fits a chunk's rows (weight 1 always counts)
+        while (r := table.shape[1]) < weight and (not r or comb(n, r + 1) <= rows):
+            table = _extend(table, singles, np.arange(n - 1, -1, -1)) if r else singles
         per, step = max(1, rows // block), min(block, rows)
         vals = None
         for S in _supports(n, weight, per, table):
@@ -249,6 +253,12 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
                 X = np.full((m + 1, len(S), len(vals)), z, dtype=dtype)
                 X[where] = vals.T
                 yield X[:m].reshape(m, len(S) * len(vals)).T
+
+    for weight in range(min(w, n) + 1):
+        block = base**weight
+        if not block:
+            break  # a one-element carrier has no non-z values
+        yield weight, layer(weight, block)
 
 
 def _plan(alg: FiniteAlgebra, system: EquationSystem):
@@ -295,32 +305,41 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem):
     return nodes, plan, frees, cols
 
 
-def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks, base: int):
-    """The first satisfying candidate of the chunks as a re-verified
+def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, layers, base: int):
+    """The first satisfying candidate of the layers as a re-verified
     SolutionFound (None if there is none), and the scan's SolveStats.
 
-    Chunks hold the columns cols of planned, the system's _plan: the
-    coordinates the system mentions, on which alone its value depends.
-    Each row's f, the index of the first equation it fails (s if none),
-    comes from one evaluator: table gathers over the nodes of planned,
-    each distinct node once, each equation on the rows that satisfied those
-    before it, each column freed after its last use.  The evaluator runs
-    on the chunk's rows, or, once the scan has tested |A|^len(cols) rows
-    and if that many fit in one chunk, once on every point of A^cols: its
-    results are a memo that later rows read f from through table_index.
-    Built no sooner, the memo never costs more evaluations than the scan
-    has already made, so scans that stop early do not pay for it.
+    layers are (weight, chunks) pairs: the bounded scan's weight layers
+    (see _weight_chunks), or, for weight None, a run of chunks that is
+    never counted in closed form.  Chunks hold the columns cols of planned,
+    the system's _plan: the coordinates the system mentions, on which alone
+    its value depends.  Each row's f, the index of the first equation it
+    fails (s if none), comes from one evaluator: table gathers over the
+    nodes of planned, each distinct node once, each equation on the rows
+    that satisfied those before it, each column freed after its last use.
+    The evaluator runs on the chunk's rows, or, once the scan has tested
+    |A|^len(cols) rows and if that many fit in one chunk, once on every
+    point of A^cols: its results are a memo that later rows read f from
+    through table_index.  Built no sooner, the memo never costs more
+    evaluations than the scan has already made, so scans that stop early
+    do not pay for it.
     The stats count as if rows were tested one by one, each evaluating its
     equations' tree nodes in order and stopping at the first mismatch: a
     row with f = k evaluated equations 0..min(k, s - 1).  The first row
     with f = s is the solution, with base at every other coordinate: in
     the canonical order and in the lexicographic one, resetting such a
     coordinate to base would give an earlier solution.
+    With the memo, a weight layer is counted, not scanned, when no solving
+    point has its weight (coordinates off base).  The scan reaching layer w
+    has found no solution, so every solving point has weight >= w, while a
+    layer-w row projects onto a point of weight <= w; it solves only if
+    that point solves with weight exactly w.  A point of weight k is the
+    projection of C(n - m, w - k) * (|A| - 1)^(w - k) rows of the layer.
     """
     dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
     nodes, plan, frees, cols = planned
-    s = len(plan)
+    s, n, m, q = len(plan), system.n, len(cols), alg.size - 1
     fdtype = np.min_scalar_type(s)
     at = {c + 1: j for j, c in enumerate(cols)}  # each variable's column
 
@@ -352,29 +371,48 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, chunks, base: int
             values = {i: v[keep] for i, v in values.items()}
         return f
 
-    points = alg.size ** len(cols)
-    memo_fits = points <= _chunk_rows(system.n, _CHUNK)
-    memo = None
+    points = alg.size**m
+    memo_fits = points <= _chunk_rows(n, _CHUNK)
+    memo = solving = costs = None
     tested = evaluated = 0
-    for X in chunks:
+
+    def tabulated() -> bool:
+        """Whether the memo exists, building it once it is due, with the
+        weights of the solving points and, per weight k, the tree nodes
+        that its points cost together."""
+        nonlocal memo, solving, costs
         if memo is None and memo_fits and tested >= points:
-            memo = failures(digits(np.arange(points), alg.size, len(cols), dtype))
-        if memo is None:
-            f = failures(X)
-        else:
-            f = memo.take(table_index(X.T, alg.size) if cols else np.zeros(len(X), np.intp))
-        j = int(f.argmax())
-        if f[j] == s:
-            assignment = [base] * system.n
-            for c, v in zip(cols, X[j].tolist()):
-                assignment[c] = v
-            solution = tuple(assignment)
-            if not _verify(alg, system, solution):
-                raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
-            stats = SolveStats(tested + j + 1, evaluated + _cost(f[: j + 1], plan))
-            return SolutionFound(solution, verified=True), stats
-        tested += len(X)
-        evaluated += _cost(f, plan)
+            P = digits(np.arange(points), alg.size, m, dtype)
+            memo, k = failures(P), np.count_nonzero(P != base, axis=1)
+            solving = set(k[memo == s].tolist())
+            costs = [_cost(memo[k == j], plan) for j in range(m + 1)]
+        return memo is not None
+
+    for weight, chunks in layers:
+        if weight is not None and tabulated() and weight not in solving:
+            tested += comb(n, weight) * q**weight
+            evaluated += sum(
+                comb(n - m, weight - k) * q ** (weight - k) * cost
+                for k, cost in enumerate(costs[: weight + 1])
+            )
+            continue
+        for X in chunks:
+            if tabulated():
+                f = memo.take(table_index(X.T, alg.size) if cols else np.zeros(len(X), np.intp))
+            else:
+                f = failures(X)
+            j = int(f.argmax())
+            if f[j] == s:
+                assignment = [base] * n
+                for c, v in zip(cols, X[j].tolist()):
+                    assignment[c] = v
+                solution = tuple(assignment)
+                if not _verify(alg, system, solution):
+                    raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
+                stats = SolveStats(tested + j + 1, evaluated + _cost(f[: j + 1], plan))
+                return SolutionFound(solution, verified=True), stats
+            tested += len(X)
+            evaluated += _cost(f, plan)
     return None, SolveStats(tested, evaluated)
 
 
@@ -412,8 +450,8 @@ def solve_bounded(
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     cols = planned[3]
-    chunks = _weight_chunks(n, bound, alg.size, z, cols, _CHUNK)
-    found, stats = _scan(alg, system, planned, chunks, z)
+    layers = _weight_chunks(n, bound, alg.size, z, cols, _CHUNK)
+    found, stats = _scan(alg, system, planned, layers, z)
     if found is None:
         found = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
     return SolveOutcome(found, stats)
@@ -423,7 +461,7 @@ def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
     """Full enumeration of A^n in lexicographic order; unconditional verdict."""
     planned = _plan(alg, system)
     chunks = _lex_chunks(system.n, alg.size, planned[3], _CHUNK)
-    found, stats = _scan(alg, system, planned, chunks, 0)
+    found, stats = _scan(alg, system, planned, [(None, chunks)], 0)
     return SolveOutcome(found or NoSolutionExhaustive(), stats)
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -78,6 +79,22 @@ def test_solve_no_solution_exhaustive(tmp_path, capsys, z2_file):
     code, out, _ = run_cli(capsys, ["solve", "--algebra", z2_file, "--system", sys_path])
     assert code == 1
     assert "exhaustive" in out
+
+
+def test_solve_counts_layers_too_large_to_scan(tmp_path, capsys, z4_file):
+    # 2*x1 + 2*x200 is even, so no candidate of weight <= 6 over x1..x200
+    # solves it: every layer past the memo is counted, none is generated
+    sys_path = _system_file(tmp_path, "add(add(x1, x1), add(x200, x200)) = #1\n")
+    code, out, _ = run_cli(
+        capsys, ["solve", "--algebra", z4_file, "--system", sys_path, "--bound", "6", "--json"]
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == {"kind": "no_solution_in_bounded_set", "bound": 6, "conditional": True}
+    candidates = sum(math.comb(200, i) * 3**i for i in range(7))
+    assert candidates == 60_697_326_654_871
+    # each candidate evaluates the 7 nodes of the left side and the constant
+    assert doc["stats"] == {"candidates_tested": candidates, "term_evaluations": 8 * candidates}
 
 
 def test_missing_file_is_input_error(tmp_path, capsys, z4_file):

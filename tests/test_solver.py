@@ -72,13 +72,18 @@ def test_enumeration_counts():
             assert len(stream) == bounded_weight_count(12, w, size)
 
 
+def _flat(layers):
+    """The chunks of _weight_chunks's (weight, chunks) layers, in order."""
+    return (X for _, chunks in layers for X in chunks)
+
+
 def test_vectorized_chunks_match_generator_order():
     from supersolve.solver import _lex_chunks, _weight_chunks
 
     for n, w, size, z in [(0, 0, 3, 0), (3, 1, 4, 0), (2, 1, 3, 1), (4, 4, 3, 2), (5, 2, 2, 0)]:
         chunked = [
             tuple(int(v) for v in row)
-            for X in _weight_chunks(n, w, size, z, cols=range(n), chunk=7)
+            for X in _flat(_weight_chunks(n, w, size, z, cols=range(n), chunk=7))
             for row in X
         ]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
@@ -93,12 +98,12 @@ def test_vectorized_chunks_match_generator_order():
     # chunk=64 packs whole supports with a remainder (36 weight-2 supports,
     # 14 per chunk); at n=40 the cell cap binds (8 * 64 // 40 = 12 rows)
     for n, w, size, z, chunk in [(9, 3, 3, 1, 64), (40, 2, 2, 0, 64), (6, 4, 3, 0, 1)]:
-        chunks = list(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk))
+        chunks = list(_flat(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk)))
         assert all(X.dtype == np.uint8 for X in chunks)
         assert all(0 < len(X) <= min(chunk, 8 * chunk // n) or len(X) == 1 for X in chunks)
         chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
-    assert max(len(X) for X in _weight_chunks(9, 2, 3, 1, cols=range(9), chunk=64)) == 14 * 4
+    assert max(len(X) for X in _flat(_weight_chunks(9, 2, 3, 1, cols=range(9), chunk=64))) == 14 * 4
     # the brute scan has the same cap: 8 * 16 // 10 = 12 rows per chunk
     chunks = list(_lex_chunks(10, 2, cols=range(10), chunk=16))
     assert all(len(X) <= 12 for X in chunks) and len(chunks) == -(-1024 // 12)
@@ -118,8 +123,8 @@ def test_projected_chunks_keep_rows_and_boundaries():
     ]:
         for cols in [[], [n - 1], sorted(rng.sample(range(n), n // 2))]:
             cols = sorted({c for c in cols if 0 <= c < n})
-            full = list(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk))
-            part = list(_weight_chunks(n, w, size, z, cols=cols, chunk=chunk))
+            full = list(_flat(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk)))
+            part = list(_flat(_weight_chunks(n, w, size, z, cols=cols, chunk=chunk)))
             assert [len(X) for X in part] == [len(X) for X in full]
             assert all(X.shape[1] == len(cols) and X.flags.f_contiguous for X in part)
             rows = [tuple(int(v) for v in row) for X in part for row in X]
@@ -444,6 +449,109 @@ def test_memo_is_built_once_the_scan_has_tested_its_points(monkeypatch):
     ref = _reference_scan(z5, system, enumerate_bounded_weight(20, 2, 5, 0))
     assert out.verdict == NoSolutionInBoundedSet(bound=2)
     assert (out.stats.candidates_tested, out.stats.term_evaluations) == ref[1:]
+
+
+@st.composite
+def _layered_systems(draw, alg, case):
+    """A system over at most three variables, x_n among them with n <= 10,
+    and its base value z: 0, or for "base" any other element.  An "unsat"
+    system holds an equation add(u, #c) = u with c not the identity.  A
+    "late" one holds equations x_i = #c_i that force two or three variables
+    off z, and its other equations hold at a planted point.  A "base"
+    system is either."""
+    z = draw(st.integers(1, alg.size - 1)) if case == "base" else 0
+    late = case == "late" or (case == "base" and draw(st.booleans()))
+    n = draw(st.integers(1 + late, 10))
+    # two other variables at most; a late system has at least one
+    others = draw(st.sets(st.integers(1, n), min_size=2 * late, max_size=2)) - {n}
+    mentioned = sorted(others | {n})
+    leaves = st.sampled_from([Var(v) for v in mentioned]) | st.builds(
+        Const, st.integers(0, alg.size - 1)
+    )
+
+    def apply(args):
+        return st.sampled_from(alg.operations).flatmap(
+            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
+                lambda a: App(op.name, tuple(a))
+            )
+        )
+
+    terms = st.recursive(leaves, apply, max_leaves=4)
+    if late:
+        forced = draw(
+            st.just(mentioned)
+            | st.lists(st.sampled_from(mentioned), min_size=2, max_size=3, unique=True)
+        )
+        planted = [z] * n
+        for v in mentioned:
+            values = [a for a in range(alg.size) if a != z or v not in forced]
+            planted[v - 1] = draw(st.sampled_from(values))
+        equations = [
+            (t, Const(eval_term(alg, t, planted))) for t in draw(st.lists(terms, max_size=2))
+        ]
+        equations += [(Var(v), Const(planted[v - 1])) for v in forced]
+    else:
+        equations = draw(st.lists(st.tuples(terms, terms), max_size=2))
+        u, c = draw(terms), draw(st.integers(1, alg.size - 1))
+        equations.insert(draw(st.integers(0, len(equations))), (App("add", (u, Const(c))), u))
+    system = EquationSystem(tuple(equations))
+    assume(system.n == n)
+    return system, z
+
+
+@pytest.mark.parametrize("case", ["unsat", "late", "base"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
+    import supersolve.solver as solver
+
+    alg = data.draw(st.sampled_from([z2, z3, z4, cyclic_group(5), k4]))
+    system, z = data.draw(_layered_systems(alg, case))
+    n, size, mentioned = system.n, alg.size, sorted(_variables(system))
+    # the largest bound whose set the reference scans quickly, or a smaller one
+    bounds = [w for w in range(n + 1) if bounded_weight_count(n, w, size) <= 3000]
+    bound = data.draw(st.just(bounds[-1]) | st.sampled_from(bounds))
+    ref_sol, ref_tested, ref_nodes = _reference_scan(
+        alg, system, enumerate_bounded_weight(n, bound, size, z)
+    )
+    if ref_sol is not None:
+        expected = SolutionFound(ref_sol, verified=True)
+    else:
+        expected = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
+    # the weights of the solving points over the mentioned variables, z elsewhere
+    solving = set()
+    for p in itertools.product(range(size), repeat=len(mentioned)):
+        a = [z] * n
+        for i, v in zip(mentioned, p):
+            a[i - 1] = v
+        if all(eval_term(alg, lhs, a) == eval_term(alg, rhs, a) for lhs, rhs in system.equations):
+            solving.add(weight(p, z))
+    last = min(solving | {bound, n})
+    assert ref_sol is None or weight(ref_sol, z) == last
+    points = size ** len(mentioned)
+    for chunk in (1, 7, 64, solver._CHUNK):
+        # a layer is counted once the memo is due at its start, and holds no solution
+        due = points <= solver._chunk_rows(n, chunk)
+        counted = {
+            w
+            for w in range(1, last + 1)
+            if due and bounded_weight_count(n, w - 1, size) >= points
+            and w not in solving
+        }
+        built = set()
+
+        def spy(ranks, base, width, dtype, cols=None):
+            if base == size - 1:  # a value block of the layer of this weight
+                built.add(width)
+            return digits(ranks, base, width, dtype, cols)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_CHUNK", chunk)
+            mp.setattr(solver, "digits", spy)
+            out = solve_bounded(alg, system, z=z, bound=bound)
+        assert out.verdict == expected
+        assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
+        assert built == set(range(last + 1)) - counted
 
 
 def test_stats_match_sequential_reference(z4, z2, q8):
