@@ -91,23 +91,30 @@ def _tensor(f: TabulatedFunction) -> np.ndarray:
     return np.asarray(f.table, dtype=dtype).reshape((f.domain_size,) * f.arity)
 
 
-def _components(f: TabulatedFunction) -> dict[int, TabulatedFunction]:
-    """Components f_J for every J, by the per-coordinate subset-lattice
-    (fast Moebius) transform on the |A|^n value tensor: each coordinate j
-    splits every component g into g(a_j = 0), which does not contain j, and
-    g - g(a_j = 0), which does.  Cost O(n * 2^n * |A|^n) in numpy."""
-    comps = {0: _tensor(f)}
-    for j in range(f.arity):
-        for mask, g in list(comps.items()):
-            at_zero = np.broadcast_to(g.take([0], axis=j), g.shape)
-            comps[mask] = at_zero
-            comps[mask | 1 << j] = g - at_zero
-    return {
-        mask: TabulatedFunction(
-            f.domain_size, f.arity, f.prime, tuple((comps[mask] % f.prime).ravel().tolist())
+def _transform(f: TabulatedFunction) -> np.ndarray:
+    """Row J holds the table of the component f_J mod p, for every mask J,
+    by the per-coordinate subset-lattice (fast Moebius) transform on the
+    |A|^n value tensor: each coordinate j splits every component g into
+    g(a_j = 0), which does not contain j, and g - g(a_j = 0), which does.
+    The second halves are stacked after the first, at the masks with bit
+    j set, so each coordinate is a few numpy calls over at most
+    2^n * |A|^n values."""
+    comps = _tensor(f)[np.newaxis]
+    for axis in range(1, f.arity + 1):
+        at_zero = comps.take([0], axis=axis)
+        comps = np.concatenate([np.broadcast_to(at_zero, comps.shape), comps - at_zero])
+    return (comps % f.prime).reshape(1 << f.arity, -1)
+
+
+def _check_budget(f: TabulatedFunction, max_points: int) -> None:
+    """The budget counts 2**n components of |A|**n points each, and at
+    least 2**n points each, so that a one-element domain's components
+    count too."""
+    if max(len(f.table), 1 << f.arity) << f.arity > max_points:
+        raise TableBudgetError(
+            f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
+            f"exceed the budget of {max_points}"
         )
-        for mask in sorted(comps, key=lambda m: (m.bit_count(), m))
-    }
 
 
 @dataclass(frozen=True)
@@ -136,17 +143,13 @@ class AbsorbingDecomposition:
 def decompose(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> AbsorbingDecomposition:
-    """Full absorbing decomposition: one component per subset of [n].
-
-    The budget counts 2**n components of |A|**n points each, and at least
-    2**n points each, so that a one-element domain's components count too.
-    """
-    if max(len(f.table), 1 << f.arity) << f.arity > max_points:
-        raise TableBudgetError(
-            f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
-            f"exceed the budget of {max_points}"
-        )
-    return AbsorbingDecomposition(f, _components(f))
+    """Full absorbing decomposition: one component per subset of [n]."""
+    _check_budget(f, max_points)
+    tables = _transform(f).tolist()
+    return AbsorbingDecomposition(f, {
+        mask: TabulatedFunction(f.domain_size, f.arity, f.prime, tuple(tables[mask]))
+        for mask in sorted(range(len(tables)), key=lambda m: (m.bit_count(), m))
+    })
 
 
 def component_moebius(f: TabulatedFunction, mask: int, a) -> int:
@@ -164,8 +167,12 @@ def component_moebius(f: TabulatedFunction, mask: int, a) -> int:
 def absorbing_degree(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> int:
-    """max |J| with a nonzero component; -1 for the zero function."""
-    return decompose(f, max_points).degree()
+    """max |J| with a nonzero component; -1 for the zero function.  The
+    same as decompose(f, max_points).degree(), without tabulating the
+    components."""
+    _check_budget(f, max_points)
+    nonzero = np.flatnonzero(_transform(f).any(axis=1)).tolist()
+    return max((mask.bit_count() for mask in nonzero), default=-1)
 
 
 def is_absorbing_in(f: TabulatedFunction, mask: int) -> bool:

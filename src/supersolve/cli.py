@@ -2,12 +2,14 @@
 
 The _COMMANDS table maps each subcommand name to its help line, its
 handler and the function that adds its arguments.  _build_parser(argv)
-registers from it only the sub-parser that argv[0] names, so a run pays
-for one command's arguments; with no arguments, -h, -- or an unknown
-command it registers all of them, for the top-level help and errors.
-Each handler is attached to its sub-parser with set_defaults(handler=...)
-and takes the parsed argparse namespace; run() calls it and maps
-exceptions to exit codes.
+registers from it only the sub-parser that argv[0] names; with no
+arguments, -h, -- or an unknown command it registers all of them, for
+the top-level help and errors.  _parser keeps each parser it builds, so
+a process builds each command's parser at most once, however often
+main() is called: parse_args leaves a parser as it was, and help reads
+the terminal width when it is printed.  Each handler is attached to its
+sub-parser with set_defaults(handler=...) and takes the parsed argparse
+namespace; run() calls it and maps exceptions to exit codes.
 
 The command comes first: a -- before it is read as the command itself,
 so "supersolve -- solve ..." exits 2 with "invalid choice: '--'".
@@ -24,6 +26,7 @@ byte-identical JSON, so bench timings are only emitted with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -346,11 +349,18 @@ _COMMANDS = {
 _COMMAND_METAVAR = "{" + ",".join(_COMMANDS) + "}"
 
 
+def _command(argv: list[str]) -> str | None:
+    """The command argv[0] names, or None when it names none."""
+    return argv[0] if argv and argv[0] in _COMMANDS else None
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: when argv[0] names a command, only that
+    """A new parser for argv: when argv[0] names a command, only that
     command's sub-parser is built; otherwise (no arguments, -h, --, an
-    unknown command) all of them are, for the top-level help and errors."""
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    unknown command) all of them are, for the top-level help and errors.
+    main() builds each such parser once per process, through _parser."""
+    command = _command(argv)
+    names = list(_COMMANDS) if command is None else [command]
     parser = argparse.ArgumentParser(
         prog="supersolve",
         description="Decide solvability of polynomial equation systems over "
@@ -373,9 +383,15 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for a command (None: the full parser), built on first use."""
+    return _build_parser([] if command is None else [command])
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    return run(_build_parser(argv).parse_args(argv))
+    return run(_parser(_command(argv)).parse_args(argv))
 
 
 if __name__ == "__main__":

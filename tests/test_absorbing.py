@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersolve.absorbing import (
     TableBudgetError,
@@ -13,6 +15,7 @@ from supersolve.absorbing import (
     mask_indices,
     restrict_vector,
 )
+from supersolve.algebra import table_index
 
 AND = TabulatedFunction(2, 2, 2, (0, 0, 0, 1))
 XOR = TabulatedFunction(2, 2, 2, (0, 1, 1, 0))
@@ -153,12 +156,36 @@ def test_budget_counts_every_component():
         decompose(TabulatedFunction(1, 11, 2, (1,)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_absorbing_degree_matches_decomposition(data):
+    size, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    zero = data.draw(st.booleans())
+    # f(a) = g(a restricted to kept): f depends only on the kept coordinates,
+    # so every degree from -1 to n comes up
+    kept = data.draw(st.integers(0, (1 << n) - 1))
+    g = [0] * size**n if zero else data.draw(
+        st.lists(st.integers(0, p - 1), min_size=size**n, max_size=size**n)
+    )
+    table = tuple(
+        g[table_index(restrict_vector(a, kept), size)]
+        for a in itertools.product(range(size), repeat=n)
+    )
+    f = TabulatedFunction(size, n, p, table)
+    assert absorbing_degree(f) == decompose(f).degree()
+    if zero:
+        assert absorbing_degree(f) == -1
+
+
 def test_decomposition_with_a_prime_beyond_int64():
     # the transform's values exceed int64 here, so they are Python ints
     p = 2**64 - 59
     rng = random.Random(7)
     for size, n in [(2, 3), (3, 2), (1, 5)]:
-        _check_decomposition(TabulatedFunction(size, n, p, tuple(rng.randrange(p) for _ in range(size**n))))
+        f = TabulatedFunction(size, n, p, tuple(rng.randrange(p) for _ in range(size**n)))
+        _check_decomposition(f)
+        assert absorbing_degree(f) == decompose(f).degree()
 
 
 def test_decomposition_golden_dump():

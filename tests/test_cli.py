@@ -664,6 +664,7 @@ def test_known_command_builds_one_subparser(monkeypatch, z4_file):
         "add_parser",
         lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs),
     )
+    cli._parser.cache_clear()
     # main() reads sys.argv itself before choosing the sub-parser
     monkeypatch.setattr(sys, "argv", ["supersolve", "bound", "--algebra", z4_file])
     assert cli.main() == 0
@@ -672,6 +673,49 @@ def test_known_command_builds_one_subparser(monkeypatch, z4_file):
     with pytest.raises(SystemExit):
         cli.main(["nope"])
     assert built == list(cli._COMMANDS)
+    built.clear()
+    # a later call for the same command reuses its parser
+    assert cli.main(["bound", "--algebra", z4_file, "-s", "2"]) == 0
+    assert built == []
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv), SystemExit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_reused_parsers_carry_no_state_between_calls(tmp_path, capsys, z4_file):
+    sys_path = _system_file(tmp_path, "add(x1, x2) = #3\n")
+    files = ["--algebra", z4_file, "--system", sys_path]
+    runs = [
+        ["solve"],
+        ["solve", *files, "--bound", "0", "--json"],
+        ["solve", *files],
+        ["-h"],
+    ]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in runs] == fresh
+    # --bound 0 and --json of the call before do not carry over
+    code, stdout, _ = fresh[2]
+    assert code == 0 and stdout.startswith("solution: ")
+    assert fresh[1][0] == 1 and fresh[1][1].startswith("{")
+
+
+def test_help_and_usage_bytes_repeat_in_one_process(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    first = [_outcome(capsys, argv) for argv, *_ in _HELP_AND_USAGE]
+    assert [_outcome(capsys, argv) for argv, *_ in _HELP_AND_USAGE] == first
+    if sys.version_info[:2] == (3, 11):
+        assert first == [tuple(case[1:]) for case in _HELP_AND_USAGE]
 
 
 def test_cli_import_leaves_out_mpmath():
