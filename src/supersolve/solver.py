@@ -18,33 +18,21 @@ they do: each distinct node is checked once, with the errors and the
 first fault of check_system, and no other pass checks the system.
 
 A system's value depends only on the variables V it mentions, so the
-scans build only V's columns of each chunk of candidates.  Each row's
-f, the index of the first equation it fails, comes from one evaluator
-of numpy table gathers: each distinct node once per chunk, and each
-equation only on the rows still satisfied.  Once a scan has tested
-|A|^|V| rows, and if that many fit in one chunk, the evaluator runs once
-on every point of A^V instead, and later rows look their f up in that
-memo.  From then on the bounded scan counts each remaining weight layer
-that can hold no solution, because no solving point of A^V has that
-weight, in closed form from the memo, and never generates its rows;
-only a layer that holds a solution is still scanned.  The first solution
-has the base value (z, or 0 for brute) at every variable outside V,
-since resetting one would give an earlier solution, and it is
-re-verified through the plain evaluator.
-A bounded-scan chunk holds one or more support sets of one weight times
-a run of their value tuples: as many whole supports as fit, or one
-support and a slice of its values when a single support's values exceed
-a chunk.  The supports come from a numpy table of subsets, grown by one
-element per weight while a layer fits in a chunk; larger layers extend
-it by prefixes drawn lazily from itertools.combinations.  Chunks of both
-scans are capped by cells of all n coordinates as well as by rows, so
-their memory does not grow with n, and candidates and tables are
-carried in algebra.carrier_dtype, the narrowest unsigned dtype that holds
-the carrier, so that table_index accumulates its gather indices narrow too.
-Reported statistics do not depend on any of this: they are exact
-sequential-scan equivalents, candidates tested until the verdict, and
-tree nodes evaluated, where a candidate evaluates equations left to
-right and stops at the first mismatch.
+scans build only V's columns.  Each row's f, the index of the first
+equation it fails, comes from one evaluator of numpy table gathers: each
+distinct node once per chunk, each equation on the rows still satisfied.
+The bounded scan generates only the supports inside V: when the layers
+below w hold no solution, a solving row of layer w lies inside V, or
+resetting it to z outside V would give a lighter solution.  Every other
+row costs what its projection onto V costs, so it is counted in closed
+form.  The first solution has the base value (z, or 0 for brute) outside
+V and is re-verified through the plain evaluator.  Brute counts nothing:
+it evaluates every row of A^n, restricted to V's columns.  Chunks of both
+scans are capped by cells of all n coordinates as well as by rows, and
+carried in algebra.carrier_dtype, so that table_index gathers narrow too.
+Reported statistics are exact sequential-scan equivalents: candidates
+tested until the verdict, and tree nodes evaluated, where a candidate
+evaluates equations left to right and stops at the first mismatch.
 """
 
 from __future__ import annotations
@@ -211,50 +199,45 @@ def _supports(n: int, w: int, per: int, table: np.ndarray):
 
 
 def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK):
-    """The canonical bounded-weight order, as one (weight, chunks) pair per
-    weight layer, where chunks lazily yields the layer in vectorized blocks
-    restricted to the coordinates cols.
+    """The canonical bounded-weight order of the rows whose support lies
+    inside cols, as one (weight, chunks) pair per layer 0..min(w, len(cols)),
+    where chunks lazily yields the layer's rows in blocks of cols's columns.
 
     Each chunk holds `per` consecutive support sets of one weight times
     `step` consecutive value tuples, lexicographic over the non-z elements:
     whole supports when a support's value block fits in a chunk, otherwise
-    one support and a slice of its values.  Chunks here and in _lex_chunks
-    hold at most 8 * chunk cells of all n coordinates, so their memory
-    does not grow with n, and are column-major, so the evaluator reads
-    each variable's column contiguously.  The supports come from a table
-    of all r-subsets, grown by one element per weight while a layer fits
-    in a chunk's rows.  It grows only when a layer's chunks are drawn, so a
-    layer whose chunks are never drawn costs no numpy work.
+    one support and a slice of its values.  Chunks are column-major, so the
+    evaluator reads each variable's column contiguously.  The supports come
+    from a table of all r-subsets of cols's positions, grown by one element
+    per weight while a layer fits in a chunk's rows, and only when a
+    layer's chunks are drawn.
     """
     base = size - 1
     dtype = carrier_dtype(size)
     rows = _chunk_rows(n, chunk)
     m = len(cols)
-    # each coordinate's row in a chunk's build: its column, or the spare row m
-    at = np.full(n, m, np.intp)
-    at[np.asarray(cols, np.intp)] = np.arange(m)
-    singles = np.arange(n)[:, None]
+    singles = np.arange(m)[:, None]
     table = np.zeros((1, 0), np.intp)  # the lexicographic table of all r-subsets
 
     def layer(weight, block):
         nonlocal table
         # every layer up to this one fits a chunk's rows (weight 1 always counts)
-        while (r := table.shape[1]) < weight and (not r or comb(n, r + 1) <= rows):
-            table = _extend(table, singles, np.arange(n - 1, -1, -1)) if r else singles
+        while (r := table.shape[1]) < weight and (not r or comb(m, r + 1) <= rows):
+            table = _extend(table, singles, np.arange(m - 1, -1, -1)) if r else singles
         per, step = max(1, rows // block), min(block, rows)
         vals = None
-        for S in _supports(n, weight, per, table):
-            where = at[S], np.arange(len(S))[:, None]
+        for S in _supports(m, weight, per, table):
+            where = S, np.arange(len(S))[:, None]
             for start in range(0, block, step):
                 if vals is None or step < block:
                     ranks = np.arange(start, min(start + step, block))
                     vals = digits(ranks, base, weight, dtype)
                     vals += vals >= z
-                X = np.full((m + 1, len(S), len(vals)), z, dtype=dtype)
+                X = np.full((m, len(S), len(vals)), z, dtype=dtype)
                 X[where] = vals.T
-                yield X[:m].reshape(m, len(S) * len(vals)).T
+                yield X.reshape(m, len(S) * len(vals)).T
 
-    for weight in range(min(w, n) + 1):
+    for weight in range(min(w, m) + 1):
         block = base**weight
         if not block:
             break  # a one-element carrier has no non-z values
@@ -305,42 +288,15 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem):
     return nodes, plan, frees, cols
 
 
-def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, layers, base: int):
-    """The first satisfying candidate of the layers as a re-verified
-    SolutionFound (None if there is none), and the scan's SolveStats.
-
-    layers are (weight, chunks) pairs: the bounded scan's weight layers
-    (see _weight_chunks), or, for weight None, a run of chunks that is
-    never counted in closed form.  Chunks hold the columns cols of planned,
-    the system's _plan: the coordinates the system mentions, on which alone
-    its value depends.  Each row's f, the index of the first equation it
-    fails (s if none), comes from one evaluator: table gathers over the
-    nodes of planned, each distinct node once, each equation on the rows
-    that satisfied those before it, each column freed after its last use.
-    The evaluator runs on the chunk's rows, or, once the scan has tested
-    |A|^len(cols) rows and if that many fit in one chunk, once on every
-    point of A^cols: its results are a memo that later rows read f from
-    through table_index.  Built no sooner, the memo never costs more
-    evaluations than the scan has already made, so scans that stop early
-    do not pay for it.
-    The stats count as if rows were tested one by one, each evaluating its
-    equations' tree nodes in order and stopping at the first mismatch: a
-    row with f = k evaluated equations 0..min(k, s - 1).  The first row
-    with f = s is the solution, with base at every other coordinate: in
-    the canonical order and in the lexicographic one, resetting such a
-    coordinate to base would give an earlier solution.
-    With the memo, a weight layer is counted, not scanned, when no solving
-    point has its weight (coordinates off base).  The scan reaching layer w
-    has found no solution, so every solving point has weight >= w, while a
-    layer-w row projects onto a point of weight <= w; it solves only if
-    that point solves with weight exactly w.  A point of weight k is the
-    projection of C(n - m, w - k) * (|A| - 1)^(w - k) rows of the layer.
-    """
+def _evaluator(alg: FiniteAlgebra, planned):
+    """The function from a chunk X of the columns cols of planned, the
+    system's _plan, to each row's f (s if the row fails no equation): it
+    gathers over the nodes of planned, each distinct node once, each equation
+    on the rows that satisfied those before it, each column freed after use."""
     dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
     nodes, plan, frees, cols = planned
-    s, n, m, q = len(plan), system.n, len(cols), alg.size - 1
-    fdtype = np.min_scalar_type(s)
+    fdtype = np.min_scalar_type(len(plan))
     at = {c + 1: j for j, c in enumerate(cols)}  # each variable's column
 
     def failures(X):
@@ -371,49 +327,7 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, layers, base: int
             values = {i: v[keep] for i, v in values.items()}
         return f
 
-    points = alg.size**m
-    memo_fits = points <= _chunk_rows(n, _CHUNK)
-    memo = solving = costs = None
-    tested = evaluated = 0
-
-    def tabulated() -> bool:
-        """Whether the memo exists, building it once it is due, with the
-        weights of the solving points and, per weight k, the tree nodes
-        that its points cost together."""
-        nonlocal memo, solving, costs
-        if memo is None and memo_fits and tested >= points:
-            P = digits(np.arange(points), alg.size, m, dtype)
-            memo, k = failures(P), np.count_nonzero(P != base, axis=1)
-            solving = set(k[memo == s].tolist())
-            costs = [_cost(memo[k == j], plan) for j in range(m + 1)]
-        return memo is not None
-
-    for weight, chunks in layers:
-        if weight is not None and tabulated() and weight not in solving:
-            tested += comb(n, weight) * q**weight
-            evaluated += sum(
-                comb(n - m, weight - k) * q ** (weight - k) * cost
-                for k, cost in enumerate(costs[: weight + 1])
-            )
-            continue
-        for X in chunks:
-            if tabulated():
-                f = memo.take(table_index(X.T, alg.size) if cols else np.zeros(len(X), np.intp))
-            else:
-                f = failures(X)
-            j = int(f.argmax())
-            if f[j] == s:
-                assignment = [base] * n
-                for c, v in zip(cols, X[j].tolist()):
-                    assignment[c] = v
-                solution = tuple(assignment)
-                if not _verify(alg, system, solution):
-                    raise RuntimeError(f"internal error: candidate {solution} failed re-verification")
-                stats = SolveStats(tested + j + 1, evaluated + _cost(f[: j + 1], plan))
-                return SolutionFound(solution, verified=True), stats
-            tested += len(X)
-            evaluated += _cost(f, plan)
-    return None, SolveStats(tested, evaluated)
+    return failures
 
 
 def _cost(f: np.ndarray, plan) -> int:
@@ -424,12 +338,92 @@ def _cost(f: np.ndarray, plan) -> int:
     )
 
 
-def _verify(alg, system, assignment) -> bool:
-    """Independent re-check of a candidate through the plain evaluator."""
-    return all(
-        eval_term(alg, lhs, assignment) == eval_term(alg, rhs, assignment)
-        for lhs, rhs in system.equations
-    )
+def _rank(subset, n: int) -> int:
+    """Lexicographic position of a sorted subset of range(n) among those of its size."""
+    k = len(subset)
+    return comb(n, k) - 1 - sum(comb(n - 1 - t, k - i) for i, t in enumerate(subset))
+
+
+def _nodes_before(fs, S, cols, n: int, q: int, plan) -> int:
+    """Tree nodes of the rows of layer w = len(S) whose support S' precedes
+    S, the first solution's support as positions in cols, and meets V = cols
+    in fewer than w positions T; fs[k] holds the f of layer k's rows over V.
+
+    Let d = min(T Δ S), r = w - |T| and u = n - |V|.  S' adds r unmentioned
+    coordinates to T and comes first when the least lies below d, or else
+    when d is in T: N(T) = C(u, r) such S' if d is in T, and otherwise
+    C(u, r) - C(u_d, r), u_d counting the unmentioned coordinates above d.
+    The T with one d, and d in T or not, are a run of the canonical order.
+    """
+    w, m, u, total = len(S), len(cols), n - len(cols), 0
+    row_nodes = np.cumsum([eq[2] for eq in plan] + [0])  # the nodes of a row, by its f
+    for k, f in enumerate(fs):
+        # the prefix sums of C(T) over the k-subsets T of V
+        P = np.concatenate([[0], row_nodes.take(np.concatenate(f)).cumsum()])[:: q**k]
+        # the T that agree with S below d are the run from lo, with rem positions left
+        r, lo, rem = w - k, 0, k
+        for d in range(m):
+            if rem < 0:
+                break
+            held = comb(m - 1 - d, rem - 1) if rem else 0  # the run's first T hold d
+            if d in S:
+                a, b, N = lo + held, lo + comb(m - d, rem), comb(u, r) - comb(u - cols[d] + d, r)
+                rem -= 1
+            else:
+                a, b, N = lo, lo + held, comb(u, r)
+                lo += held
+            total += N * q**r * int(P[b] - P[a])
+    return total
+
+
+def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: int):
+    """The first satisfying candidate of weight <= bound as a re-verified
+    SolutionFound (None if there is none), and the scan's SolveStats: those
+    of rows tested one by one in canonical order, where a row with f = k
+    evaluated the tree nodes of equations 0..min(k, s - 1).
+
+    Only rows with support inside V = cols are generated; C(T) is the nodes
+    that the q**|T| rows of a support T inside V cost.  A row has the value
+    of its projection onto V, so the q**w rows of a support S' with
+    S' ∩ V = T cost q**(w - |T|) * C(T): a layer w with no solution costs
+    the sum of C(n - m, w - |T|) * q**(w - |T|) * C(T) over T.
+    """
+    failures, plan, cols = _evaluator(alg, planned), planned[1], planned[3]
+    s, n, m, q = len(plan), system.n, len(cols), alg.size - 1
+    fs = []  # per layer k <= m: the f of its rows over V, in chunks
+
+    def counted(weights):
+        """The candidates and tree nodes of whole layers with no solution."""
+        totals = [sum(_cost(f, plan) for f in layer) for layer in fs]  # the sums of C(T)
+        layers = [(w, k, t) for w in weights for k, t in enumerate(totals[: w + 1])]
+        nodes = sum(comb(n - m, w - k) * q ** (w - k) * t for w, k, t in layers)
+        return sum(comb(n, w) * q**w for w in weights), nodes
+
+    for w, chunks in _weight_chunks(n, bound, alg.size, z, cols, _CHUNK):
+        fs.append([])
+        for X in chunks:
+            f = failures(X)
+            j = int(f.argmax())
+            if f[j] == s:
+                S, done = np.flatnonzero(X[j] != z).tolist(), sum(map(len, fs[w])) + j
+                tested, evaluated = counted(range(w))
+                tested += _rank([cols[i] for i in S], n) * q**w + done % q**w + 1
+                evaluated += sum(_cost(g, plan) for g in fs[w]) + _cost(f[: j + 1], plan)
+                evaluated += _nodes_before(fs[:w], S, cols, n, q, plan)
+                return _found(alg, system, cols, z, X[j]), SolveStats(tested, evaluated)
+            fs[w].append(f)
+    return None, SolveStats(*counted(range(min(bound, n) + 1)))
+
+
+def _found(alg, system, cols, base: int, row) -> SolutionFound:
+    """row's values at the coordinates cols and base at every other one,
+    re-checked independently through the plain evaluator."""
+    a = [base] * system.n
+    for c, v in zip(cols, row.tolist()):
+        a[c] = v
+    if not all(eval_term(alg, lhs, a) == eval_term(alg, rhs, a) for lhs, rhs in system.equations):
+        raise RuntimeError(f"internal error: candidate {tuple(a)} failed re-verification")
+    return SolutionFound(tuple(a), verified=True)
 
 
 def solve_bounded(
@@ -449,9 +443,7 @@ def solve_bounded(
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    cols = planned[3]
-    layers = _weight_chunks(n, bound, alg.size, z, cols, _CHUNK)
-    found, stats = _scan(alg, system, planned, layers, z)
+    found, stats = _scan(alg, system, planned, bound, z)
     if found is None:
         found = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
     return SolveOutcome(found, stats)
@@ -460,9 +452,17 @@ def solve_bounded(
 def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
     """Full enumeration of A^n in lexicographic order; unconditional verdict."""
     planned = _plan(alg, system)
-    chunks = _lex_chunks(system.n, alg.size, planned[3], _CHUNK)
-    found, stats = _scan(alg, system, planned, [(None, chunks)], 0)
-    return SolveOutcome(found or NoSolutionExhaustive(), stats)
+    failures, plan, cols = _evaluator(alg, planned), planned[1], planned[3]
+    tested = evaluated = 0
+    for X in _lex_chunks(system.n, alg.size, cols, _CHUNK):
+        f = failures(X)
+        j = int(f.argmax())
+        if f[j] == len(plan):
+            stats = SolveStats(tested + j + 1, evaluated + _cost(f[: j + 1], plan))
+            return SolveOutcome(_found(alg, system, cols, 0, X[j]), stats)
+        tested += len(X)
+        evaluated += _cost(f, plan)
+    return SolveOutcome(NoSolutionExhaustive(), SolveStats(tested, evaluated))
 
 
 def normalize_system(

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -83,7 +84,8 @@ def test_solve_no_solution_exhaustive(tmp_path, capsys, z2_file):
 
 def test_solve_counts_layers_too_large_to_scan(tmp_path, capsys, z4_file):
     # 2*x1 + 2*x200 is even, so no candidate of weight <= 6 over x1..x200
-    # solves it: every layer past the memo is counted, none is generated
+    # solves it: only the rows over x1 and x200 are generated, every other
+    # row is counted
     sys_path = _system_file(tmp_path, "add(add(x1, x1), add(x200, x200)) = #1\n")
     code, out, _ = run_cli(
         capsys, ["solve", "--algebra", z4_file, "--system", sys_path, "--bound", "6", "--json"]
@@ -95,6 +97,33 @@ def test_solve_counts_layers_too_large_to_scan(tmp_path, capsys, z4_file):
     assert candidates == 60_697_326_654_871
     # each candidate evaluates the 7 nodes of the left side and the constant
     assert doc["stats"] == {"candidates_tested": candidates, "term_evaluations": 8 * candidates}
+
+
+def test_solve_finds_a_late_solution_among_counted_rows(tmp_path, capsys, z4_file):
+    # over x1..x200 the first solution of x197 = ... = x200 = #1 is the first
+    # value tuple of the last support of weight 4; only the rows over
+    # x197..x200 are generated
+    text = "".join(f"x{i} = #1\n" for i in range(197, 201))
+    argv = ["solve", "--algebra", z4_file, "--system", _system_file(tmp_path, text)]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv + ["--bound", "4", "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"]["assignment"] == [0] * 196 + [1] * 4
+
+    def rows(j):
+        """Candidates of weight <= 4 whose first j of x197..x200 are 1."""
+        return sum(math.comb(200 - j, i) * 3**i for i in range(5 - j))
+
+    # the solution's 81 value tuples end the order; of the 80 after it, 26,
+    # 8 and 2 set the first one, two and three of x197..x199 to 1
+    after = [80, 26, 8, 2]
+    candidates = rows(0) - after[0]
+    assert candidates == 5_275_122_371
+    # a candidate evaluates equation j + 1, two nodes, when x197..x(196 + j) are 1
+    nodes = 2 * sum(rows(j) - after[j] for j in range(4))
+    assert doc["stats"] == {"candidates_tested": candidates, "term_evaluations": nodes}
 
 
 def test_missing_file_is_input_error(tmp_path, capsys, z4_file):

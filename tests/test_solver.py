@@ -112,10 +112,11 @@ def test_vectorized_chunks_match_generator_order():
 
 
 def test_projected_chunks_keep_rows_and_boundaries():
-    from supersolve.solver import _lex_chunks, _weight_chunks
+    from supersolve.solver import _chunk_rows, _lex_chunks, _weight_chunks
 
-    # rows, chunk boundaries and order are those of all n columns,
-    # restricted to cols, including no column at all
+    # the bounded chunks hold, in canonical order, the rows whose support
+    # lies inside cols (including no column at all), restricted to cols,
+    # with rows per chunk capped by all n columns
     rng = random.Random(5)
     for n, w, size, z, chunk in [
         (0, 0, 3, 0, 7), (5, 2, 2, 0, 7), (6, 4, 3, 2, 64), (9, 3, 3, 1, 64),
@@ -123,13 +124,16 @@ def test_projected_chunks_keep_rows_and_boundaries():
     ]:
         for cols in [[], [n - 1], sorted(rng.sample(range(n), n // 2))]:
             cols = sorted({c for c in cols if 0 <= c < n})
-            full = list(_flat(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk)))
-            part = list(_flat(_weight_chunks(n, w, size, z, cols=cols, chunk=chunk)))
-            assert [len(X) for X in part] == [len(X) for X in full]
+            layers = [(k, list(chunks)) for k, chunks in _weight_chunks(n, w, size, z, cols, chunk)]
+            assert [k for k, _ in layers] == list(range(min(w, len(cols)) + 1))
+            part = [X for _, chunks in layers for X in chunks]
+            assert all(0 < len(X) <= _chunk_rows(n, chunk) for X in part)
             assert all(X.shape[1] == len(cols) and X.flags.f_contiguous for X in part)
             rows = [tuple(int(v) for v in row) for X in part for row in X]
             assert rows == [
-                tuple(a[c] for c in cols) for a in enumerate_bounded_weight(n, w, size, z)
+                tuple(a[c] for c in cols)
+                for a in enumerate_bounded_weight(n, w, size, z)
+                if all(a[i] == z for i in range(n) if i not in cols)
             ]
     for n, size, chunk in [(0, 2, 5), (4, 3, 5), (10, 2, 16), (6, 4, 7)]:
         for cols in [[], [0], [n - 1], list(range(0, n, 2))]:
@@ -431,26 +435,6 @@ def test_unmentioned_variables_keep_the_base_value(z2, z3, z4, k4, data):
                 assert all(v == base for i, v in enumerate(got, 1) if i not in mentioned)
 
 
-def test_memo_is_built_once_the_scan_has_tested_its_points(monkeypatch):
-    import supersolve.solver as solver
-
-    # 25 points over x3 and x20: the chunks of weights 0 and 1 (1 and 80
-    # rows) are evaluated directly, and the memo is built before weight 2
-    z5, built = cyclic_group(5), []
-
-    def spy(ranks, base, width, dtype, cols=None):
-        built.append(len(ranks))
-        return digits(ranks, base, width, dtype, cols)
-
-    monkeypatch.setattr(solver, "digits", spy)
-    system = parse_system(_sum_of_copies("add(x3, x20)", 5) + " = #1\nx3 = x3")
-    out = solve_bounded(z5, system, bound=2)
-    assert built.count(25) == 1
-    ref = _reference_scan(z5, system, enumerate_bounded_weight(20, 2, 5, 0))
-    assert out.verdict == NoSolutionInBoundedSet(bound=2)
-    assert (out.stats.candidates_tested, out.stats.term_evaluations) == ref[1:]
-
-
 @st.composite
 def _layered_systems(draw, alg, case):
     """A system over at most three variables, x_n among them with n <= 10,
@@ -528,30 +512,132 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
             solving.add(weight(p, z))
     last = min(solving | {bound, n})
     assert ref_sol is None or weight(ref_sol, z) == last
-    points = size ** len(mentioned)
+    # the rows the scan generates: those over the mentioned variables, in
+    # canonical order, up to the solution's projection or to the bound
+    over = list(enumerate_bounded_weight(len(mentioned), bound, size, z))
+    if ref_sol is not None:
+        need = over.index(tuple(ref_sol[i - 1] for i in mentioned)) + 1
+    else:
+        need = len(over)
+    weight_chunks = solver._weight_chunks
     for chunk in (1, 7, 64, solver._CHUNK):
-        # a layer is counted once the memo is due at its start, and holds no solution
-        due = points <= solver._chunk_rows(n, chunk)
-        counted = {
-            w
-            for w in range(1, last + 1)
-            if due and bounded_weight_count(n, w - 1, size) >= points
-            and w not in solving
-        }
-        built = set()
+        built, drawn = set(), []
 
         def spy(ranks, base, width, dtype, cols=None):
             if base == size - 1:  # a value block of the layer of this weight
                 built.add(width)
             return digits(ranks, base, width, dtype, cols)
 
+        def generated(*args):
+            for k, chunks in weight_chunks(*args):
+                yield k, (drawn.append(len(X)) or X for X in chunks)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_CHUNK", chunk)
             mp.setattr(solver, "digits", spy)
+            mp.setattr(solver, "_weight_chunks", generated)
             out = solve_bounded(alg, system, z=z, bound=bound)
         assert out.verdict == expected
         assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
-        assert built == set(range(last + 1)) - counted
+        assert built == set(range(min(last, len(mentioned)) + 1))
+        # the last chunk holds the verdict's row; one row a chunk at chunk 1
+        assert sum(drawn[:-1]) < need <= sum(drawn)
+        if ref_sol is None or chunk == 1:
+            assert sum(drawn) == need
+
+
+@st.composite
+def _late_systems(draw, alg):
+    """A system over x_n and two or three other variables of x1..xn, with
+    4 <= n <= 10, and its base value z != 0.  The first solution is off z
+    on exactly two or three forced variables, so it lies past layer 1:
+    equations x_i = #c_i pin them off z, and x_n and maybe other variables
+    to z; each other mentioned variable occurs in x_i = x_i.  Up to two
+    more equations hold at the planted point."""
+    z = draw(st.integers(1, alg.size - 1))
+    n = draw(st.integers(4, 10))
+    # x1 is mostly left out, so that most coordinates have one below them
+    low = draw(st.sampled_from([1, 2, 2, 2]))
+    mentioned = sorted(draw(st.sets(st.integers(low, n - 1), min_size=2, max_size=3)) | {n})
+    forced = draw(st.sets(st.sampled_from(mentioned), min_size=2, max_size=3))
+    pinned = forced | {n} | draw(st.sets(st.sampled_from(mentioned)))
+    planted = [z] * n
+    for v in forced:
+        planted[v - 1] = draw(st.sampled_from([a for a in range(alg.size) if a != z]))
+    leaves = st.sampled_from([Var(v) for v in mentioned]) | st.builds(
+        Const, st.integers(0, alg.size - 1)
+    )
+
+    def apply(args):
+        return st.sampled_from(alg.operations).flatmap(
+            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
+                lambda a: App(op.name, tuple(a))
+            )
+        )
+
+    terms = st.recursive(leaves, apply, max_leaves=4)
+    equations = [(t, Const(eval_term(alg, t, planted))) for t in draw(st.lists(terms, max_size=2))]
+    equations += [(Var(v), Const(planted[v - 1]) if v in pinned else Var(v)) for v in mentioned]
+    return EquationSystem(tuple(draw(st.permutations(equations)))), z
+
+
+def _assert_late_matches_reference(alg, system, z, bound):
+    """solve_bounded at _CHUNK 1, 7, 64 and the default gives the sequential
+    reference's assignment and counters; returns the assignment."""
+    import supersolve.solver as solver
+
+    ref_sol, ref_tested, ref_nodes = _reference_scan(
+        alg, system, enumerate_bounded_weight(system.n, bound, alg.size, z)
+    )
+    for chunk in (1, 7, 64, solver._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_CHUNK", chunk)
+            out = solve_bounded(alg, system, z=z, bound=bound)
+        got = out.verdict.assignment if isinstance(out.verdict, SolutionFound) else None
+        assert got == ref_sol
+        assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
+    return ref_sol
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solution_layer_counts_match_the_reference(z3, z4, k4, data):
+    alg = data.draw(st.sampled_from([z3, z4, cyclic_group(5), k4]))
+    system, z = data.draw(_late_systems(alg))
+    found = _assert_late_matches_reference(alg, system, z, data.draw(st.integers(2, 3)))
+    if found is not None:
+        assert weight(found, z) >= 2
+        assert {i + 1 for i, v in enumerate(found) if v != z} <= _variables(system)
+
+
+@pytest.mark.parametrize(
+    "order, text, z, bound",
+    [
+        # S = {x6, x10}; x3 is free and x9 pinned to z
+        (4, "x3 = x3\nx6 = #2\nx9 = #3\nadd(x6, x10) = #3\nx10 = #1", 3, 2),
+        # S = {x4, x7, x9}; x2 is free
+        (5, "add(x2, x4) = add(x4, x2)\nx4 = #1\nx7 = #0\nx9 = #4", 2, 3),
+    ],
+)
+def test_solution_layer_counts_cover_both_cases_of_a_support(order, text, z, bound):
+    # the supports S' before the solution's S in its layer meet the
+    # mentioned variables V in some T; with d = min(T ^ S), they include
+    # T with d in T and T with d not in T, with unmentioned coordinates
+    # below and above d, and |A|^|V| exceeds the rows of a 64-row chunk
+    import supersolve.solver as solver
+
+    alg, system = cyclic_group(order), parse_system(text)
+    n, mentioned = system.n, {v - 1 for v in _variables(system)}
+    found = _assert_late_matches_reference(alg, system, z, bound)
+    S = {i for i, v in enumerate(found) if v != z}
+    assert len(S) == bound and S <= mentioned
+    assert order ** len(mentioned) > solver._chunk_rows(n, 64)
+    unmentioned, cases = set(range(n)) - mentioned, set()
+    for k in range(len(S)):
+        for T in map(set, itertools.combinations(sorted(mentioned), k)):
+            d = min(T ^ S)
+            cases.add((d in T, min(unmentioned) < d < max(unmentioned)))
+    assert {(True, True), (False, True)} <= cases
 
 
 def test_stats_match_sequential_reference(z4, z2, q8):
