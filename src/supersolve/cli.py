@@ -1,15 +1,12 @@
 """Command-line front end.
 
 The _COMMANDS table maps each subcommand name to its help line, its
-handler and the function that adds its arguments.  _build_parser(argv)
-registers from it only the sub-parser that argv[0] names; with no
-arguments, -h, -- or an unknown command it registers all of them, for
-the top-level help and errors.  _parser keeps each parser it builds, so
-a process builds each command's parser at most once, however often
-main() is called: parse_args leaves a parser as it was, and help reads
-the terminal width when it is printed.  Each handler is attached to its
-sub-parser with set_defaults(handler=...) and takes the parsed argparse
-namespace; run() calls it and maps exceptions to exit codes.
+handler and the function that adds its arguments.  _parser builds the
+parser from it once per process, however often main() is called:
+parse_args leaves a parser as it was, and help reads the terminal width
+when it is printed.  Each handler is attached to its sub-parser with
+set_defaults(handler=...) and takes the parsed argparse namespace; run()
+calls it and maps exceptions to exit codes.
 
 The command comes first: a -- before it is read as the command itself,
 so "supersolve -- solve ..." exits 2 with "invalid choice: '--'".
@@ -345,53 +342,25 @@ _COMMANDS = {
     "validate": ("validate input files", _cmd_validate, _validate_args),
 }
 
-# the usage line's command list, as argparse spells it from the choices
-_COMMAND_METAVAR = "{" + ",".join(_COMMANDS) + "}"
 
-
-def _command(argv: list[str]) -> str | None:
-    """The command argv[0] names, or None when it names none."""
-    return argv[0] if argv and argv[0] in _COMMANDS else None
-
-
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """A new parser for argv: when argv[0] names a command, only that
-    command's sub-parser is built; otherwise (no arguments, -h, --, an
-    unknown command) all of them are, for the top-level help and errors.
-    main() builds each such parser once per process, through _parser."""
-    command = _command(argv)
-    names = list(_COMMANDS) if command is None else [command]
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser with every command's sub-parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="supersolve",
         description="Decide solvability of polynomial equation systems over "
         "finite algebras by bounded-weight search.",
     )
-    # The usage line that errors print lists every command, so a parser
-    # with one sub-parser spells the list out.  The full parser must not:
-    # a metavar would replace the name "command" in the errors for a
-    # missing or unknown command.
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=_COMMAND_METAVAR if len(names) == 1 else None,
-    )
-    for name in names:
-        help_line, handler, add_arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, add_arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(handler=handler)
         add_arguments(p)
     return parser
 
 
-@functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for a command (None: the full parser), built on first use."""
-    return _build_parser([] if command is None else [command])
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return run(_parser(_command(argv)).parse_args(argv))
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

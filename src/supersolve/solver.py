@@ -18,18 +18,25 @@ they do: each distinct node is checked once, with the errors and the
 first fault of check_system, and no other pass checks the system.
 
 A system's value depends only on the variables V it mentions, so the
-scans build only V's columns.  Each row's f, the index of the first
+scans build only V's columns.  The bounded scan first folds the constant
+one-variable subterms: a node that reads at most one variable is
+tabulated over A, and one that takes a single value c becomes #c, as
+mul(x7, inv(x7)) does in a group.  What is left reads only V' within V,
+and the bounded scan builds only the columns of V'; brute, the oracle, keeps
+the unfolded terms over V.  Each row's f, the index of the first
 equation it fails, comes from one evaluator of numpy table gathers: each
 distinct node once per chunk, each equation on the rows still satisfied.
-The bounded scan generates only the supports inside V: when the layers
-below w hold no solution, a solving row of layer w lies inside V, or
-resetting it to z outside V would give a lighter solution.  Every other
-row costs what its projection onto V costs, so it is counted in closed
-form.  The first solution has the base value (z, or 0 for brute) outside
-V and is re-verified through the plain evaluator.  Brute counts nothing:
-it evaluates every row of A^n, restricted to V's columns.  Chunks of both
-scans are capped by cells of all n coordinates as well as by rows, and
-carried in algebra.carrier_dtype, so that table_index gathers narrow too.
+The bounded scan generates only the supports inside V': when the layers
+below w hold no solution, a solving row of layer w lies inside V', or
+resetting it to z outside V' would give a lighter solution.  Every other
+row costs what its projection onto V' costs, so it is counted in closed
+form, with the tree sizes of the original terms.  The first solution has
+the base value (z, or 0 for brute) outside the scanned columns and is
+re-verified through the plain evaluator on the original terms.  Brute
+counts nothing: it evaluates every row of A^n, restricted to V's
+columns.  Chunks of both scans are capped by cells of all n coordinates
+as well as by rows, and carried in algebra.carrier_dtype, so that
+table_index gathers narrow too.
 Reported statistics are exact sequential-scan equivalents: candidates
 tested until the verdict, and tree nodes evaluated, where a candidate
 evaluates equations left to right and stops at the first mismatch.
@@ -254,7 +261,8 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem):
     tree size, start, end), where start..end are the ids it computes
     first; the ids freed after each step, where step i + k computes node i
     of equation k and step end + k compares it; and the sorted coordinates
-    (variable index - 1) of the variables the system mentions.
+    (variable index - 1) of the variables the system mentions.  This is
+    solve_brute's plan; solve_bounded folds it first (see _fold).
     """
     if system.s < 1:
         raise ValueError("system must contain at least one equation")
@@ -263,29 +271,110 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem):
     sizes: list[int] = []  # AST nodes, as term_length counts them
 
     def intern(t: Term, args: list[int]) -> int:
-        key = (t.op, tuple(args)) if isinstance(t, App) else t
-        if key not in ids:
+        key = (t.op, *args) if isinstance(t, App) else t
+        i = ids.get(key)
+        if i is None:
             check_node(alg, t)
-            ids[key] = len(nodes)
+            i = ids[key] = len(nodes)
             nodes.append((t, args))
-            sizes.append(1 + sum(sizes[a] for a in args))
-        return ids[key]
+            size = 1
+            for a in args:
+                size += sizes[a]
+            sizes.append(size)
+        return i
 
     roots = fold([t for eq in system.equations for t in eq], intern)
+    costs = [sizes[lhs] + sizes[rhs] for lhs, rhs in zip(roots[::2], roots[1::2])]
+    return _layout(nodes, roots, costs)
+
+
+def _layout(nodes, roots, costs):
+    """The plan of the node table nodes, in post-order, for the equations
+    roots[2k] = roots[2k + 1], whose trees have costs[k] nodes: see _plan."""
     last: dict[int, int] = {}
     plan, start = [], 0
     for k, (lhs, rhs) in enumerate(zip(roots[::2], roots[1::2])):
         end = max(start, lhs + 1, rhs + 1)
         for i in range(start, end):
-            last.update(dict.fromkeys(nodes[i][1], i + k))
+            for a in nodes[i][1]:
+                last[a] = i + k
         last[lhs] = last[rhs] = end + k
-        plan.append((lhs, rhs, sizes[lhs] + sizes[rhs], start, end))
+        plan.append((lhs, rhs, costs[k], start, end))
         start = end
     frees: dict[int, list[int]] = {}
     for node, step in last.items():
         frees.setdefault(step, []).append(node)
     cols = sorted(t.index - 1 for t, _ in nodes if isinstance(t, Var))
     return nodes, plan, frees, cols
+
+
+def _fold(alg: FiniteAlgebra, planned):
+    """planned, a system's _plan, with its constant one-variable subterms
+    folded: each node that reads at most one variable gets its values over
+    A, one per value of that variable, from its arguments' values, and an
+    application with arguments whose values are all one element c becomes
+    Const(c) (a nullary one is evaluated as a constant already).  The
+    nodes that no equation then reaches are dropped, so cols becomes V',
+    the variables the folded nodes still read: the system's value depends
+    on those alone.  Each equation keeps the tree size of its original
+    terms.  Returns planned itself when nothing folds.
+    """
+    nodes, plan = planned[:2]
+    size = alg.size
+    tables = {op.name: op.table for op in alg.operations}
+    reads = []  # per node: the variable it reads, 0 for none, -1 for several
+    values = []  # per node reading at most one variable: its values over A
+    folded: dict[int, int] = {}
+    for i, (t, args) in enumerate(nodes):
+        if isinstance(t, Var):
+            reads.append(t.index)
+            values.append(range(size))
+            continue
+        if isinstance(t, Const):
+            reads.append(0)
+            values.append((t.value,) * size)
+            continue
+        v = 0
+        for a in args:
+            u = reads[a]
+            if u and u != v:
+                if v:
+                    v = -1
+                    break
+                v = u
+        col = None
+        if v >= 0:
+            index = values[args[0]] if args else (0,) * size
+            for a in args[1:]:
+                index = [j * size + x for j, x in zip(index, values[a])]
+            table = tables[t.op]
+            col = [table[j] for j in index]
+            if args and col.count(col[0]) == size:
+                folded[i] = col[0]
+                v = 0
+        reads.append(v)
+        values.append(col)
+    if not folded:
+        return planned
+    live = [False] * len(nodes)
+    for lhs, rhs, *_ in plan:
+        live[lhs] = live[rhs] = True
+    for i in range(len(nodes) - 1, -1, -1):
+        if live[i] and i not in folded:
+            for a in nodes[i][1]:
+                live[a] = True
+    # the live nodes keep their order, so each equation's still come first
+    kept: list[tuple[Term, list[int]]] = []
+    renamed = [0] * len(nodes)
+    for i, (t, args) in enumerate(nodes):
+        if live[i]:
+            renamed[i] = len(kept)
+            if i in folded:
+                kept.append((Const(folded[i]), []))
+            else:
+                kept.append((t, [renamed[a] for a in args]))
+    roots = [renamed[r] for lhs, rhs, *_ in plan for r in (lhs, rhs)]
+    return _layout(kept, roots, [eq[2] for eq in plan])
 
 
 def _evaluator(alg: FiniteAlgebra, planned):
@@ -382,9 +471,11 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
     of rows tested one by one in canonical order, where a row with f = k
     evaluated the tree nodes of equations 0..min(k, s - 1).
 
-    Only rows with support inside V = cols are generated; C(T) is the nodes
-    that the q**|T| rows of a support T inside V cost.  A row has the value
-    of its projection onto V, so the q**w rows of a support S' with
+    V = cols may be any set of variables that the system's value depends on
+    alone: solve_bounded passes V', the columns of the folded plan.  Only
+    rows with support inside V are generated; C(T) is the nodes that the
+    q**|T| rows of a support T inside V cost.  A row has the value of its
+    projection onto V, so the q**w rows of a support S' with
     S' ∩ V = T cost q**(w - |T|) * C(T): a layer w with no solution costs
     the sum of C(n - m, w - |T|) * q**(w - |T|) * C(T) over T.
     """
@@ -433,11 +524,12 @@ def solve_bounded(
     bound: int | None = None,
 ) -> SolveOutcome:
     """Scan candidates of weight <= bound (default: the tight bound capped
-    at n) in canonical order; "no solution" is conditional on the algebra
-    being supernilpotent unless the scan covered all of A^n."""
+    at n) in canonical order, over the columns of the folded plan; "no
+    solution" is conditional on the algebra being supernilpotent unless the
+    scan covered all of A^n."""
     if not 0 <= z < alg.size:
         raise ValueError(f"base element {z} out of range [0, {alg.size})")
-    planned = _plan(alg, system)
+    planned = _fold(alg, _plan(alg, system))
     n = system.n
     if bound is None:
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
@@ -450,7 +542,8 @@ def solve_bounded(
 
 
 def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
-    """Full enumeration of A^n in lexicographic order; unconditional verdict."""
+    """Full enumeration of A^n in lexicographic order, over V's columns and
+    the unfolded terms; unconditional verdict."""
     planned = _plan(alg, system)
     failures, plan, cols = _evaluator(alg, planned), planned[1], planned[3]
     tested = evaluated = 0

@@ -99,6 +99,26 @@ def test_solve_counts_layers_too_large_to_scan(tmp_path, capsys, z4_file):
     assert doc["stats"] == {"candidates_tested": candidates, "term_evaluations": 8 * candidates}
 
 
+def test_solve_folds_cancelling_pairs_before_scanning(tmp_path, capsys, z4_file):
+    # p_i = add(xi, neg(xi)) is 0 at every xi, so p1 + ... + p30 = #1 folds
+    # to #0 = #1 and no variable is scanned: every candidate is counted
+    text = "add(x1, neg(x1))"
+    for i in range(2, 31):
+        text = f"add({text}, add(x{i}, neg(x{i})))"
+    argv = ["solve", "--algebra", z4_file, "--system", _system_file(tmp_path, text + " = #1\n")]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv + ["--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == {"kind": "no_solution_in_bounded_set", "bound": 12, "conditional": True}
+    candidates = sum(math.comb(30, i) * 3**i for i in range(13))
+    assert candidates == 57_742_167_184_399
+    # each candidate fails the one equation: 4 * 30 + 29 nodes on the left, 1 on the right
+    assert doc["stats"] == {"candidates_tested": candidates, "term_evaluations": 150 * candidates}
+    assert 150 * candidates == 8_661_325_077_659_850
+
+
 def test_solve_finds_a_late_solution_among_counted_rows(tmp_path, capsys, z4_file):
     # over x1..x200 the first solution of x197 = ... = x200 = #1 is the first
     # value tuple of the last support of weight 4; only the rows over
@@ -493,12 +513,11 @@ def test_golden_cli_bytes(tmp_path, capsys, argv, code, stdout):
     assert run_cli(capsys, argv) == (code, stdout, "")
 
 
-# Help and usage bytes (exit code, stdout, stderr) at 80 columns, captured
-# before the parser was narrowed to the invoked command: the top-level help,
-# each command's help, and the errors for a missing, unknown or incomplete
-# command.  argparse's wording differs between CPython versions (3.10 adds
-# "(default: True)" to the --deterministic help), so they hold on 3.11 only;
-# test_narrowed_parser_matches_full_parser covers the rest.
+# Help and usage bytes (exit code, stdout, stderr) at 80 columns: the
+# top-level help, each command's help, and the errors for a missing,
+# unknown or incomplete command.  argparse's wording differs between
+# CPython versions (3.10 adds "(default: True)" to the --deterministic
+# help), so they hold on 3.11 only.
 _HELP_AND_USAGE = [
     (["--help"], 0,
      "usage: supersolve [-h]\n"
@@ -678,14 +697,12 @@ _ARGV = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_ARGV)
-def test_narrowed_parser_matches_full_parser(argv):
-    # the parser built for argv parses it as the one with every command does
-    assert _parse_outcome(cli._build_parser(argv), argv) == _parse_outcome(
-        cli._build_parser([]), argv
-    )
+def test_reused_parser_parses_like_a_fresh_one(argv):
+    # the one parser of the process, after every example before this one
+    assert _parse_outcome(cli._parser(), argv) == _parse_outcome(cli._parser.__wrapped__(), argv)
 
 
-def test_known_command_builds_one_subparser(monkeypatch, z4_file):
+def test_main_builds_the_parser_once_per_process(monkeypatch, z4_file):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(
@@ -694,16 +711,14 @@ def test_known_command_builds_one_subparser(monkeypatch, z4_file):
         lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs),
     )
     cli._parser.cache_clear()
-    # main() reads sys.argv itself before choosing the sub-parser
+    # main() reads sys.argv itself
     monkeypatch.setattr(sys, "argv", ["supersolve", "bound", "--algebra", z4_file])
     assert cli.main() == 0
-    assert built == ["bound"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        cli.main(["nope"])
     assert built == list(cli._COMMANDS)
     built.clear()
-    # a later call for the same command reuses its parser
+    # later calls, for any command or none, reuse it
+    with pytest.raises(SystemExit):
+        cli.main(["nope"])
     assert cli.main(["bound", "--algebra", z4_file, "-s", "2"]) == 0
     assert built == []
 

@@ -29,6 +29,7 @@ from supersolve.terms import (
     Var,
     check_system,
     eval_term,
+    max_variable,
     parse_system,
     term_length,
 )
@@ -386,6 +387,37 @@ def _variables(system):
     return found
 
 
+def _terms_over(alg, leaves, max_leaves):
+    """Well-formed terms over alg's signature with the given leaves."""
+
+    def apply(args):
+        return st.sampled_from(alg.operations).flatmap(
+            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
+                lambda a: App(op.name, tuple(a))
+            )
+        )
+
+    return st.recursive(leaves, apply, max_leaves=max_leaves)
+
+
+def _folded_variables(alg, system):
+    """V': the variables the system still reads once each subterm that reads
+    at most one variable and takes one value over A is read as that value."""
+
+    def reads(t):
+        if isinstance(t, Var):
+            return {t.index}
+        inner = set().union(*map(reads, t.args)) if isinstance(t, App) else set()
+        if isinstance(t, App) and t.args and len(inner) <= 1:
+            # t's value depends on inner alone, so one value for all variables will do
+            values = {eval_term(alg, t, [a] * max_variable(t)) for a in range(alg.size)}
+            if len(values) == 1:
+                return set()
+        return inner
+
+    return set().union(*(reads(t) for eq in system.equations for t in eq))
+
+
 @st.composite
 def _gapped_systems(draw, alg):
     """One to three equations over a sparse set of variables: x_n always
@@ -396,14 +428,7 @@ def _gapped_systems(draw, alg):
         Const, st.integers(0, alg.size - 1)
     )
 
-    def apply(args):
-        return st.sampled_from(alg.operations).flatmap(
-            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
-                lambda a: App(op.name, tuple(a))
-            )
-        )
-
-    terms = st.recursive(leaves, apply, max_leaves=5)
+    terms = _terms_over(alg, leaves, 5)
     system = EquationSystem(tuple(draw(st.lists(st.tuples(terms, terms), min_size=1, max_size=3))))
     assume(n in _variables(system))
     return system
@@ -453,14 +478,7 @@ def _layered_systems(draw, alg, case):
         Const, st.integers(0, alg.size - 1)
     )
 
-    def apply(args):
-        return st.sampled_from(alg.operations).flatmap(
-            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
-                lambda a: App(op.name, tuple(a))
-            )
-        )
-
-    terms = st.recursive(leaves, apply, max_leaves=4)
+    terms = _terms_over(alg, leaves, 4)
     if late:
         forced = draw(
             st.just(mentioned)
@@ -512,11 +530,13 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
             solving.add(weight(p, z))
     last = min(solving | {bound, n})
     assert ref_sol is None or weight(ref_sol, z) == last
-    # the rows the scan generates: those over the mentioned variables, in
-    # canonical order, up to the solution's projection or to the bound
-    over = list(enumerate_bounded_weight(len(mentioned), bound, size, z))
+    # the rows the scan generates: those over the variables the folded
+    # terms read, in canonical order, up to the solution's projection or to
+    # the bound
+    read = sorted(_folded_variables(alg, system))
+    over = list(enumerate_bounded_weight(len(read), bound, size, z))
     if ref_sol is not None:
-        need = over.index(tuple(ref_sol[i - 1] for i in mentioned)) + 1
+        need = over.index(tuple(ref_sol[i - 1] for i in read)) + 1
     else:
         need = len(over)
     weight_chunks = solver._weight_chunks
@@ -539,7 +559,7 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
             out = solve_bounded(alg, system, z=z, bound=bound)
         assert out.verdict == expected
         assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
-        assert built == set(range(min(last, len(mentioned)) + 1))
+        assert built == set(range(min(last, len(read)) + 1))
         # the last chunk holds the verdict's row; one row a chunk at chunk 1
         assert sum(drawn[:-1]) < need <= sum(drawn)
         if ref_sol is None or chunk == 1:
@@ -568,14 +588,7 @@ def _late_systems(draw, alg):
         Const, st.integers(0, alg.size - 1)
     )
 
-    def apply(args):
-        return st.sampled_from(alg.operations).flatmap(
-            lambda op: st.lists(args, min_size=op.arity, max_size=op.arity).map(
-                lambda a: App(op.name, tuple(a))
-            )
-        )
-
-    terms = st.recursive(leaves, apply, max_leaves=4)
+    terms = _terms_over(alg, leaves, 4)
     equations = [(t, Const(eval_term(alg, t, planted))) for t in draw(st.lists(terms, max_size=2))]
     equations += [(Var(v), Const(planted[v - 1]) if v in pinned else Var(v)) for v in mentioned]
     return EquationSystem(tuple(draw(st.permutations(equations)))), z
@@ -638,6 +651,116 @@ def test_solution_layer_counts_cover_both_cases_of_a_support(order, text, z, bou
             d = min(T ^ S)
             cases.add((d in T, min(unmentioned) < d < max(unmentioned)))
     assert {(True, True), (False, True)} <= cases
+
+
+def _constant_subterms(alg, x):
+    """Terms over the variable x alone that take one value: the cancelling
+    pairs of a group, or meet(x, #0) and join(#1, x) in the lattice."""
+    names = [op.name for op in alg.operations]
+    if "meet" in names:
+        return [App("meet", (x, Const(0))), App("join", (Const(1), x))]
+    mul, inv = names[:2]
+    return [App(mul, (x, App(inv, (x,)))), App(mul, (App(inv, (x,)), x))]
+
+
+@st.composite
+def _foldable_systems(draw, alg, max_n):
+    """One to three equations over x1..xn, n <= max_n, whose leaves include
+    constant one-variable subterms and nullary operations; sometimes one
+    more equation whose two sides both fold."""
+    xs = st.integers(1, max_n).map(Var)
+    constant = xs.flatmap(lambda x: st.sampled_from(_constant_subterms(alg, x)))
+    nullary = [App(op.name, ()) for op in alg.operations if op.arity == 0]
+    leaves = xs | st.builds(Const, st.integers(0, alg.size - 1)) | constant
+    folding = constant
+    if nullary:
+        leaves |= st.sampled_from(nullary)
+        folding |= st.sampled_from(nullary)
+    terms = _terms_over(alg, leaves, 5)
+    equations = draw(st.lists(st.tuples(terms, terms), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        both = (draw(constant), draw(folding))
+        equations.insert(draw(st.integers(0, len(equations))), both)
+    return EquationSystem(tuple(equations))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_folded_scan_matches_the_reference(group_fixtures, lattice, data):
+    import supersolve.solver as solver
+
+    alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
+    system = data.draw(_foldable_systems(alg, 4))
+    n, size = system.n, alg.size
+    z = data.draw(st.integers(1, size - 1))
+    bounds = [w for w in range(n + 1) if bounded_weight_count(n, w, size) <= 3000]
+    bound = data.draw(st.just(bounds[-1]) | st.sampled_from(bounds))
+    folded = solver._fold(alg, solver._plan(alg, system))
+    assert folded[3] == sorted(v - 1 for v in _folded_variables(alg, system))
+    ref_sol, ref_tested, ref_nodes = _reference_scan(
+        alg, system, enumerate_bounded_weight(n, bound, size, z)
+    )
+    if ref_sol is not None:
+        expected = SolutionFound(ref_sol, verified=True)
+    else:
+        expected = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
+    for chunk in (1, 7, 64, solver._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_CHUNK", chunk)
+            out = solve_bounded(alg, system, z=z, bound=bound)
+        assert out.verdict == expected
+        assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_folded_variables_alone_decide_every_equation(group_fixtures, lattice, data):
+    # every point of A^V, V the mentioned variables, with 0 elsewhere: the
+    # points that agree on V' give each side of each equation one value
+    import supersolve.solver as solver
+
+    alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
+    system = data.draw(_foldable_systems(alg, 3))
+    planned = solver._plan(alg, system)
+    mentioned, read = planned[3], solver._fold(alg, planned)[3]
+    assert set(read) <= set(mentioned)
+    sides = {}
+    for p in itertools.product(range(alg.size), repeat=len(mentioned)):
+        a = [0] * system.n
+        for c, v in zip(mentioned, p):
+            a[c] = v
+        values = tuple(eval_term(alg, t, a) for eq in system.equations for t in eq)
+        assert sides.setdefault(tuple(a[c] for c in read), values) == values
+
+
+def test_brute_scans_the_unfolded_system_over_every_mentioned_variable(monkeypatch, z4):
+    # the first equation folds to #0 = #1, so solve_bounded reads x2 and x3
+    # only, while brute builds x1's column too and evaluates every row
+    import supersolve.solver as solver
+
+    system = parse_system("add(x1, neg(x1)) = #1\nadd(x2, x3) = x2")
+    lex_chunks, weight_chunks, seen = solver._lex_chunks, solver._weight_chunks, []
+
+    def lex_spy(n, size, cols, chunk):
+        seen.append(("brute", list(cols)))
+        for X in lex_chunks(n, size, cols, chunk):
+            seen.append(("brute rows", X.shape))
+            yield X
+
+    def weight_spy(n, w, size, z, cols, chunk):
+        seen.append(("bounded", list(cols)))
+        return weight_chunks(n, w, size, z, cols, chunk)
+
+    monkeypatch.setattr(solver, "_lex_chunks", lex_spy)
+    monkeypatch.setattr(solver, "_weight_chunks", weight_spy)
+    monkeypatch.setattr(solver, "_CHUNK", 7)
+    brute, bounded = solve_brute(z4, system), solve_bounded(z4, system)
+    assert brute.verdict == NoSolutionExhaustive()
+    assert brute.stats == solver.SolveStats(64, 64 * 5)
+    assert bounded.stats.candidates_tested == 64
+    assert seen[0] == ("brute", [0, 1, 2]) and seen[-1] == ("bounded", [1, 2])
+    shapes = [shape for kind, shape in seen if kind == "brute rows"]
+    assert sum(rows for rows, _ in shapes) == 64 and {cols for _, cols in shapes} == {3}
 
 
 def test_stats_match_sequential_reference(z4, z2, q8):
