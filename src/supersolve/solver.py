@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -157,54 +157,6 @@ def _lex_chunks(n: int, size: int, cols, chunk: int = _CHUNK):
         yield digits(np.arange(start, min(start + rows, total)), size, n, dtype, cols)
 
 
-def _extend(prefixes: np.ndarray, table: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Each row of prefixes followed by each row of table whose first element
-    exceeds the prefix's last, in order.
-
-    table is the lexicographic table of all r-subsets of range(n), and
-    above[l] counts its rows whose elements all exceed l: they are its
-    last rows.
-    """
-    counts = above[prefixes[:, -1]]
-    ends = counts.cumsum()
-    # a prefix's rows end at ends in the result and at len(table) in table
-    index = np.arange(ends[-1]) + np.repeat(len(table) - ends, counts)
-    return np.concatenate([np.repeat(prefixes, counts, axis=0), table[index]], axis=1)
-
-
-def _supports(n: int, w: int, per: int, table: np.ndarray):
-    """The w-subsets of range(n) in lexicographic order, as (per, w) arrays
-    (the last may be shorter).
-
-    table is the lexicographic table of all r-subsets, for some r <= w.  A
-    w-subset is a (w - r)-prefix followed by a row of table (see _extend),
-    and the prefixes come lazily from combinations, so a scan that stops
-    early never builds the rest of a layer.
-    """
-    r = table.shape[1]
-    if r == w:
-        yield from (table[i : i + per] for i in range(0, len(table), per))
-        return
-    above = np.array([comb(n - 1 - l, r) for l in range(n)], np.intp)
-    follow = above.tolist()  # rows of table that can follow each last element
-
-    def grow(done, group):
-        prefixes = np.array(group, np.intp).reshape(len(group), w - r)
-        return np.concatenate([done, _extend(prefixes, table, above)])
-
-    done, group, count = np.empty((0, w), np.intp), [], 0
-    for prefix in combinations(range(n - r), w - r):
-        group.append(prefix)
-        count += follow[prefix[-1]]
-        if len(done) + count >= per:
-            done = grow(done, group)
-            cut = len(done) - len(done) % per
-            yield from (done[i : i + per] for i in range(0, cut, per))
-            done, group, count = done[cut:], [], 0
-    done = grow(done, group) if group else done
-    yield from (done[i : i + per] for i in range(0, len(done), per))
-
-
 def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK):
     """The canonical bounded-weight order of the rows whose support lies
     inside cols, as one (weight, chunks) pair per layer 0..min(w, len(cols)),
@@ -215,25 +167,20 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
     whole supports when a support's value block fits in a chunk, otherwise
     one support and a slice of its values.  Chunks are column-major, so the
     evaluator reads each variable's column contiguously.  The supports come
-    from a table of all r-subsets of cols's positions, grown by one element
-    per weight while a layer fits in a chunk's rows, and only when a
-    layer's chunks are drawn.
+    from combinations over cols's positions, `per` at a time, so a scan
+    that stops early never draws the rest of a layer.
     """
     base = size - 1
     dtype = carrier_dtype(size)
     rows = _chunk_rows(n, chunk)
     m = len(cols)
-    singles = np.arange(m)[:, None]
-    table = np.zeros((1, 0), np.intp)  # the lexicographic table of all r-subsets
 
     def layer(weight, block):
-        nonlocal table
-        # every layer up to this one fits a chunk's rows (weight 1 always counts)
-        while (r := table.shape[1]) < weight and (not r or comb(m, r + 1) <= rows):
-            table = _extend(table, singles, np.arange(m - 1, -1, -1)) if r else singles
         per, step = max(1, rows // block), min(block, rows)
-        vals = None
-        for S in _supports(m, weight, per, table):
+        supports, vals = combinations(range(m), weight), None
+        while batch := list(islice(supports, per)):
+            S = np.fromiter(chain.from_iterable(batch), np.intp, len(batch) * weight)
+            S = S.reshape(len(batch), weight)
             where = S, np.arange(len(S))[:, None]
             for start in range(0, block, step):
                 if vals is None or step < block:
@@ -483,12 +430,12 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
     s, n, m, q = len(plan), system.n, len(cols), alg.size - 1
     fs = []  # per layer k <= m: the f of its rows over V, in chunks
 
-    def counted(weights):
-        """The candidates and tree nodes of whole layers with no solution."""
+    def counted(top):
+        """The candidates and tree nodes of layers 0..top, which hold no solution."""
         totals = [sum(_cost(f, plan) for f in layer) for layer in fs]  # the sums of C(T)
-        layers = [(w, k, t) for w in weights for k, t in enumerate(totals[: w + 1])]
+        layers = [(w, k, t) for w in range(top + 1) for k, t in enumerate(totals[: w + 1])]
         nodes = sum(comb(n - m, w - k) * q ** (w - k) * t for w, k, t in layers)
-        return sum(comb(n, w) * q**w for w in weights), nodes
+        return bounded_weight_count(n, top, alg.size), nodes
 
     for w, chunks in _weight_chunks(n, bound, alg.size, z, cols, _CHUNK):
         fs.append([])
@@ -497,13 +444,13 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
             j = int(f.argmax())
             if f[j] == s:
                 S, done = np.flatnonzero(X[j] != z).tolist(), sum(map(len, fs[w])) + j
-                tested, evaluated = counted(range(w))
+                tested, evaluated = counted(w - 1)
                 tested += _rank([cols[i] for i in S], n) * q**w + done % q**w + 1
                 evaluated += sum(_cost(g, plan) for g in fs[w]) + _cost(f[: j + 1], plan)
                 evaluated += _nodes_before(fs[:w], S, cols, n, q, plan)
                 return _found(alg, system, cols, z, X[j]), SolveStats(tested, evaluated)
             fs[w].append(f)
-    return None, SolveStats(*counted(range(min(bound, n) + 1)))
+    return None, SolveStats(*counted(min(bound, n)))
 
 
 def _found(alg, system, cols, base: int, row) -> SolutionFound:

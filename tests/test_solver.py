@@ -152,25 +152,30 @@ def test_projected_chunks_keep_rows_and_boundaries():
 def test_support_batches_match_combinations():
     import time
 
-    from supersolve.solver import _supports
+    from supersolve.solver import _chunk_rows, _weight_chunks
 
-    for n in range(13):
-        for w in range(n + 1):
-            for r in range(w + 1):
-                # the table of all r-subsets that _supports extends
-                subsets = list(itertools.combinations(range(n), r))
-                table = np.array(subsets, dtype=np.intp).reshape(len(subsets), r)
+    # a layer draws its supports `per` at a time, per = rows // block; over
+    # Z2 (q = 1) every row is its own support, over Z3 a block of 2**w rows
+    for size, z in ((2, 0), (3, 1)):
+        for m in range(13):
+            for w in range(m + 1):
+                block = (size - 1) ** w
                 for per in (1, 7, 64, 65536):
-                    batches = list(_supports(n, w, per, table))
+                    # a chunk whose rows, capped by 8 * chunk cells, are per * block
+                    chunk = -(-per * block * max(m, 8) // 8)
+                    assert _chunk_rows(m, chunk) == per * block
+                    layers = dict(_weight_chunks(m, w, size, z, range(m), chunk))
+                    batches = [X[::block] for X in layers[w]]
                     assert all(len(S) == per for S in batches[:-1])
                     assert 0 < len(batches[-1]) <= per
-                    got = [tuple(int(v) for v in S_row) for S in batches for S_row in S]
-                    assert got == list(itertools.combinations(range(n), w))
-    # a layer of C(200, 100) supports is never built whole
+                    got = [tuple(np.flatnonzero(row != z).tolist()) for S in batches for row in S]
+                    assert got == list(itertools.combinations(range(m), w))
+    # a layer of C(200, 100) supports is never built whole: its first chunk
+    # holds the first _chunk_rows(200, 65536) = 2621 of them
     start = time.perf_counter()
-    first = next(_supports(200, 100, 2621, np.arange(200)[:, None]))
+    first = next(dict(_weight_chunks(200, 100, 2, 0, range(200)))[100])
     assert time.perf_counter() - start < 1
-    assert [tuple(S) for S in first.tolist()] == list(
+    assert [tuple(np.flatnonzero(row).tolist()) for row in first] == list(
         itertools.islice(itertools.combinations(range(200), 100), 2621)
     )
 
