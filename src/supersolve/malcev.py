@@ -9,8 +9,9 @@ remembers the first term that produced it, so returned witnesses are
 minimal in BFS layer count.
 The table space is finite, hence exhaustion proves nonexistence; a cap on
 the tables (DEFAULT_CAP, also the command line's default) bounds runaway
-closures and is reported as incompleteness, not an error.  _close checks
-the cap and runs the closure for both entry points.
+closures and is reported as incompleteness, not an error.  _clone streams
+the new tables in BFS order and stops at the cap; ternary_term_clone
+collects the stream, and find_malcev reads it up to the first Mal'cev table.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .algebra import FiniteAlgebra, carrier_dtype, digits, table_index
 from .terms import App, Const, Term, Var
 
 DEFAULT_CAP = 10**6
+# the largest carrier closed over: a ternary table holds size**3 entries
+_MAX_SIZE = 256
 # result cells (argument tuples times table length) per batch of tuples
 _BATCH_CELLS = 1 << 16
 
@@ -76,111 +79,75 @@ def _arg_tuples(snapshot: int, arity: int, lo: int, rows: int):
                 yield combos
 
 
-class _Closure:
-    def __init__(self, alg: FiniteAlgebra, include_constants: bool, stop_at_malcev: bool):
-        self.alg = alg
-        self.stop = stop_at_malcev
-        size = alg.size
-        self.length = size**3
-        self.dtype = carrier_dtype(size)
-        self.op_arrays = [np.asarray(op.table, dtype=self.dtype) for op in alg.operations]
-        x, y = digits(np.arange(size**2), size, 2, self.dtype).T
-        self._idx_xyy = table_index((x, y, y), size)
-        self._idx_xxy = table_index((x, x, y), size)
-        self._want_x, self._want_y = x, y
-        self.tables: list[np.ndarray] = []
-        self.witnesses: list[Term] = []
-        self.seen: set[bytes] = set()
-        self.malcev_index: int | None = None
-        for i, column in enumerate(digits(np.arange(self.length), size, 3, self.dtype).T):
-            self.add(column.tobytes(), Var(i + 1))
-        if include_constants:
-            for c in range(size):
-                self.add(self._constant(c), Const(c))
+def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
+    """Yield each new ternary table, a carrier-dtype array, with the first
+    term that produced it, in BFS order.
 
-    def _constant(self, c: int) -> bytes:
-        return np.full(self.length, c, dtype=self.dtype).tobytes()
-
-    def add(self, key: bytes, witness: Term) -> bool:
-        """Register the table whose bytes, in the carrier dtype, are key, if
-        unseen; track the first Mal'cev one.  The table is a view of key, so
-        its values are stored once, for the seen set and the table list alike."""
-        if key in self.seen:
-            return False
-        self.seen.add(key)
-        arr = np.frombuffer(key, dtype=self.dtype)
-        self.tables.append(arr)
-        self.witnesses.append(witness)
-        if self.stop and self.malcev_index is None and self._is_malcev_arr(arr):
-            self.malcev_index = len(self.tables) - 1
-        return True
-
-    def _is_malcev_arr(self, arr: np.ndarray) -> bool:
-        return bool(
-            np.array_equal(arr.take(self._idx_xyy), self._want_x)
-            and np.array_equal(arr.take(self._idx_xxy), self._want_y)
-        )
-
-    def _done(self, cap: int) -> bool:
-        return (self.stop and self.malcev_index is not None) or len(self.tables) >= cap
-
-    def run(self, cap: int) -> bool:
-        """Expand to fixpoint; True iff the closure is provably complete.
-
-        Tables are appended in BFS order, so the current layer is always
-        tables[lo:snapshot], the tables added by the previous round.  Each
-        batch of argument tuples is applied in numpy; its result rows are
-        then taken in order, as byte slices of one buffer, and only a row
-        not seen before builds its witness.
-        """
-        rows = max(1, _BATCH_CELLS // self.length)
-        width = self.length * self.dtype.itemsize
-        lo = 0
-        while True:
-            if self._done(cap):
-                return False
-            snapshot = len(self.tables)
-            tables = np.stack(self.tables)
-            grew = False
-            for op, op_array in zip(self.alg.operations, self.op_arrays):
-                if op.arity == 0:
-                    if lo == 0:
-                        grew |= self.add(self._constant(op.table[0]), App(op.name, ()))
-                        if self._done(cap):
-                            return False
-                    continue
-                for combos in _arg_tuples(snapshot, op.arity, lo, rows):
-                    flat = table_index([tables.take(c, axis=0) for c in combos.T], self.alg.size)
-                    buf = op_array.take(flat).tobytes()
-                    for j in range(len(combos)):
-                        key = buf[j * width : (j + 1) * width]
-                        if key in self.seen:
-                            continue
-                        args = combos[j].tolist()
-                        grew |= self.add(key, App(op.name, tuple(self.witnesses[i] for i in args)))
-                        if self._done(cap):
-                            return False
-            if not grew:
-                return True
-            lo = snapshot
-
-
-def _close(
-    alg: FiniteAlgebra, include_constants: bool, cap: int, stop_at_malcev: bool
-) -> tuple[_Closure, bool]:
-    """The closure run to fixpoint or cap, and whether it is complete."""
+    The seeds (the projections, then the constants when include_constants)
+    all come out before the cap is first checked; after them the stream ends
+    once cap tables are out, or when a round adds nothing.  Tables are
+    appended in BFS order, so the current layer is always tables[lo:snapshot],
+    the tables added by the previous round.  Each batch of argument tuples is
+    applied in numpy; its result rows are then taken in order, as byte slices
+    of one buffer, and only a row not seen before builds its witness.  A
+    table is a view of its key, so its values are stored once, for the seen
+    set and the table list alike.
+    """
     if cap < 3:
         raise ValueError(f"cap must be >= 3, got {cap}")
-    closure = _Closure(alg, include_constants, stop_at_malcev)
-    return closure, closure.run(cap)
+    size = alg.size
+    if size > _MAX_SIZE:
+        raise ValueError(f"size must be <= {_MAX_SIZE} for the ternary closure")
+    length = size**3
+    dtype = carrier_dtype(size)
+    tables: list[np.ndarray] = []
+    witnesses: list[Term] = []
+    seen: set[bytes] = set()
 
+    def add(key: bytes, witness: Term) -> tuple[np.ndarray, Term]:
+        seen.add(key)
+        tables.append(np.frombuffer(key, dtype=dtype))
+        witnesses.append(witness)
+        return tables[-1], witness
 
-def _to_table(closure: _Closure, i: int) -> TernaryFunctionTable:
-    return TernaryFunctionTable(
-        closure.alg.size,
-        tuple(closure.tables[i].tolist()),
-        closure.witnesses[i],
-    )
+    def constant(c: int) -> bytes:
+        return np.full(length, c, dtype=dtype).tobytes()
+
+    projections = np.indices((size,) * 3, dtype).reshape(3, length)
+    seeds = [(column.tobytes(), Var(i + 1)) for i, column in enumerate(projections)]
+    if include_constants:
+        seeds += [(constant(c), Const(c)) for c in range(size)]
+    for key, witness in seeds:
+        if key not in seen:
+            yield add(key, witness)
+    op_arrays = [np.asarray(op.table, dtype=dtype) for op in alg.operations]
+    rows = max(1, _BATCH_CELLS // length)
+    width = length * dtype.itemsize
+    lo = 0
+    while len(tables) < cap:
+        snapshot = len(tables)
+        stacked = np.stack(tables)
+        for op, op_array in zip(alg.operations, op_arrays):
+            if op.arity == 0:
+                # a nullary operation joins in round 0, at its place in the order
+                if lo == 0 and (key := constant(op.table[0])) not in seen:
+                    yield add(key, App(op.name, ()))
+                    if len(tables) >= cap:
+                        return
+                continue
+            for combos in _arg_tuples(snapshot, op.arity, lo, rows):
+                flat = table_index([stacked.take(c, axis=0) for c in combos.T], size)
+                buf = op_array.take(flat).tobytes()
+                for j in range(len(combos)):
+                    key = buf[j * width : (j + 1) * width]
+                    if key in seen:
+                        continue
+                    yield add(key, App(op.name, tuple(witnesses[i] for i in combos[j].tolist())))
+                    if len(tables) >= cap:
+                        return
+        if len(tables) == snapshot:
+            return
+        lo = snapshot
 
 
 def ternary_term_clone(
@@ -189,9 +156,13 @@ def ternary_term_clone(
     cap: int = DEFAULT_CAP,
 ) -> tuple[list[TernaryFunctionTable], bool]:
     """All ternary term (or polynomial) operations reachable from the
-    projections, with witness terms; the flag reports completeness."""
-    closure, complete = _close(alg, include_constants, cap, stop_at_malcev=False)
-    return [_to_table(closure, i) for i in range(len(closure.tables))], complete
+    projections, with witness terms; the flag reports completeness, which
+    the stream shows by running out before the cap."""
+    tables = [
+        TernaryFunctionTable(alg.size, tuple(arr.tolist()), witness)
+        for arr, witness in _clone(alg, include_constants, cap)
+    ]
+    return tables, len(tables) < cap
 
 
 def find_malcev(
@@ -200,7 +171,12 @@ def find_malcev(
     cap: int = DEFAULT_CAP,
 ) -> TernaryFunctionTable | MalcevNotFound:
     """First Mal'cev table in BFS order, or a (complete?) nonexistence report."""
-    closure, complete = _close(alg, include_constants, cap, stop_at_malcev=True)
-    if closure.malcev_index is not None:
-        return _to_table(closure, closure.malcev_index)
-    return MalcevNotFound(complete=complete, tables_explored=len(closure.tables))
+    size = alg.size
+    explored = 0
+    for explored, (arr, witness) in enumerate(_clone(alg, include_constants, cap), 1):
+        if explored == 1:  # _clone has now checked the size
+            x, y = np.indices((size, size), arr.dtype).reshape(2, size**2)
+            xyy, xxy = table_index((x, y, y), size), table_index((x, x, y), size)
+        if (arr.take(xyy) == x).all() and (arr.take(xxy) == y).all():
+            return TernaryFunctionTable(size, tuple(arr.tolist()), witness)
+    return MalcevNotFound(complete=explored < cap, tables_explored=explored)

@@ -1,14 +1,21 @@
 """Input-file fuzz of the command line.
 
-Every file the validate, absorb, reduce-witness and bound commands read
-is drawn at random: arbitrary JSON, raw text, JSON objects over the real
-field names whose values are either of the right kind or arbitrary, and
-systems made of random term text.  Whatever the input, a run exits 0, 1
-or 2, raises nothing out of cli.main (a traceback, from the console
-script), and writes at most one line to stderr.
+Every file the validate, absorb, reduce-witness, bound and malcev
+commands read is drawn at random: arbitrary JSON, raw text, JSON objects
+over the real field names whose values are either of the right kind or
+arbitrary, and systems made of random term text.  Whatever the input, a
+run exits 0, 1 or 2, raises nothing out of cli.main (a traceback, from
+the console script), and writes at most one line to stderr.
 
-solve, brute and malcev are left out: their searches have no work budget
-yet, so a small valid input can legitimately run for hours.
+malcev runs as `malcev --cap 20 --json`.  A valid table holds at most 30
+entries, so an operation of a carrier of 2 or more elements has arity at
+most 4, and a closure capped at 20 tables applies at most about 20**4
+argument tuples; a one-element carrier stops at its first projection,
+and a carrier of over 256 elements, which may come with no or only
+nullary operations, is refused before any table is built.
+
+solve and brute are left out: their searches have no work budget yet, so
+a small valid input can legitimately run for hours.
 """
 
 import contextlib
@@ -43,6 +50,22 @@ _OPERATION = _object(name=st.sampled_from(["add", "neg", "f", ""]), arity=_INT, 
 _ALGEBRA = _object(
     name=st.text(max_size=4), size=_INT, operations=st.lists(_OPERATION, max_size=3)
 )
+
+
+@st.composite
+def _valid_algebra(draw):
+    """A valid algebra's JSON, which few _ALGEBRA draws are: size 1-4 and
+    tables of at most 30 entries."""
+    size = draw(st.integers(1, 4))
+    arities = draw(st.lists(st.integers(0, 4).filter(lambda a: size**a <= 30), max_size=3))
+    ops = []
+    for i, arity in enumerate(arities):
+        length = size**arity
+        table = draw(st.lists(st.integers(0, size - 1), min_size=length, max_size=length))
+        ops.append({"name": f"f{i}", "arity": arity, "table": table})
+    return json.dumps({"name": "a", "size": size, "operations": ops})
+
+
 _FUNCTION = _object(domain_size=_INT, arity=_INT, prime=_INT, table=_TABLE)
 _WITNESS = _object(
     mode=st.sampled_from(["ks", "redweight", "nope"]),
@@ -82,6 +105,11 @@ _RUNS = st.one_of(
     st.tuples(st.just("absorb"), st.just(["--function"]), st.tuples(_file_text(_FUNCTION))),
     st.tuples(st.just("reduce-witness"), st.just(["--input"]), st.tuples(_file_text(_WITNESS))),
     st.tuples(st.just("bound"), st.just(["--algebra"]), st.tuples(_file_text(_ALGEBRA))),
+    st.tuples(
+        st.just("malcev"),
+        st.just(["--algebra"]),
+        st.tuples(_file_text(_ALGEBRA) | _valid_algebra()),
+    ),
 )
 
 # inputs whose validation used to cost time out of all proportion to their size
@@ -100,6 +128,8 @@ OVERSIZED = [
     # past sys.get_int_max_str_digits(), which json.loads would report
     ("validate", "--algebra", '{"name":"a","size":' + "9" * 5000 + ',"operations":[]}',
      "an integer has more than"),
+    # every ternary table would hold size**3 entries
+    ("malcev", "--algebra", '{"name":"a","size":257,"operations":[]}', "size"),
 ]
 
 
@@ -139,6 +169,8 @@ def test_input_files_exit_cleanly(tmp, run, extra):
     command, options, texts = run
     # bound prints JSON only, and only bound takes -s and -n
     extra = [a for a in extra if (a == "--json") != (command == "bound")]
+    if command == "malcev":
+        extra = ["--cap", "20", "--json"]
     code, err = _run(tmp, command, options, texts, extra)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

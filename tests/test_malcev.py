@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from supersolve.algebra import FiniteAlgebra, OperationTable, apply_op
-from supersolve.groups import cyclic_group, dihedral_group, two_element_lattice
+from supersolve.groups import cyclic_group, dihedral_group, klein_four, two_element_lattice
 from supersolve.malcev import (
+    DEFAULT_CAP,
     MalcevNotFound,
     TernaryFunctionTable,
     _arg_tuples,
@@ -134,7 +135,11 @@ _CLONE_DIGESTS = [
 ]
 
 _ALGEBRAS = {
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
     "Z4": lambda: cyclic_group(4),
+    "Z5": lambda: cyclic_group(5),
+    "K4": klein_four,
     "Z6": lambda: cyclic_group(6),
     "D3": lambda: dihedral_group(3),
     "lattice2": two_element_lattice,
@@ -158,6 +163,9 @@ def test_clone_golden_digest(name, constants, cap, count, complete, sha):
     ("D3", True, 50, MalcevNotFound(complete=False, tables_explored=50)),
     ("lattice2", True, 3, MalcevNotFound(complete=False, tables_explored=5)),
     ("lattice2", False, 50, MalcevNotFound(complete=True, tables_explored=18)),
+    # the clone is complete at 18 tables, which only a cap above 18 shows
+    ("lattice2", False, 18, MalcevNotFound(complete=False, tables_explored=18)),
+    ("lattice2", False, 19, MalcevNotFound(complete=True, tables_explored=18)),
 ])
 def test_find_malcev_capped(name, constants, cap, expected):
     result = find_malcev(_ALGEBRAS[name](), include_constants=constants, cap=cap)
@@ -166,6 +174,26 @@ def test_find_malcev_capped(name, constants, cap, expected):
         assert format_term(result.witness) == expected
     else:
         assert result == expected
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "K4", "D3", "lattice2"])
+@pytest.mark.parametrize("constants", [False, True])
+@pytest.mark.parametrize("cap", [3, 5, 20, 50, DEFAULT_CAP])
+def test_find_malcev_is_the_first_malcev_table_of_the_clone(name, constants, cap):
+    alg = _ALGEBRAS[name]()
+    # D3's clone runs to the default cap (10**6 tables, gigabytes): read it
+    # to 5000 tables, past its first Mal'cev table (the 272nd, or the
+    # 2869th with constants), which find_malcev must then return
+    clone_cap = min(cap, 5000) if name == "D3" else cap
+    tables, complete = ternary_term_clone(alg, include_constants=constants, cap=clone_cap)
+    first = next((t for t in tables if is_malcev(t)), None)
+    result = find_malcev(alg, include_constants=constants, cap=cap)
+    if first is None:
+        assert clone_cap == cap
+        assert result == MalcevNotFound(complete=complete, tables_explored=len(tables))
+    else:
+        assert result.table == first.table
+        assert format_term(result.witness) == format_term(first.witness)
 
 
 def _reference_closure(alg, include_constants, cap, stop_at_malcev):
