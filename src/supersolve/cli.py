@@ -106,9 +106,6 @@ def _load_inputs(args: argparse.Namespace) -> tuple[FiniteAlgebra, object]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.bound is not None and args.bound < 0:
-        print("error: --bound must be >= 0", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     alg, system = _load_inputs(args)
     outcome = solver.solve_bounded(alg, system, z=args.zero, bound=args.bound)
     doc = {"algebra": alg.name, "n": system.n, "s": system.s, "zero": args.zero}

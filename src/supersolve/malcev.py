@@ -120,6 +120,8 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
     for key, witness in seeds:
         if key not in seen:
             yield add(key, witness)
+    if size == 1:
+        return  # over one element every ternary table is x1's
     op_arrays = [np.asarray(op.table, dtype=dtype) for op in alg.operations]
     rows = max(1, _BATCH_CELLS // length)
     width = length * dtype.itemsize

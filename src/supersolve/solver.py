@@ -12,10 +12,8 @@ an unconditional exhaustive verdict.
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
-scans all of A^n lexicographically.  Both solvers intern the terms once
-per solve, so that equal subterms share one node, and validate while
-they do: each distinct node is checked once, with the errors and the
-first fault of check_system, and no other pass checks the system.
+scans all of A^n lexicographically.  Both solvers plan over the system's
+node table (terms.NodeTable), checking each distinct node once.
 
 A system's value depends only on the variables V it mentions, so the
 scans build only V's columns.  The bounded scan first folds the constant
@@ -55,14 +53,12 @@ from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_inde
 from .bounds import make_bound_report
 from .malcev import TernaryFunctionTable, is_malcev
 from .terms import (
-    App,
     Const,
     EquationSystem,
     Term,
     Var,
     check_node,
     eval_term,
-    fold,
     substitute,
 )
 
@@ -199,40 +195,19 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
 
 
 def _plan(alg: FiniteAlgebra, system: EquationSystem):
-    """Validate and hash-cons the system: one fold keys a leaf by itself
-    and an application by (op, arg ids), so equal subterms share one id,
-    and ids are post-order positions.  Each distinct node is checked by
-    check_node when it first gets an id; a repeat has the same key, so the
-    same checks, and the first fault is the one check_system raises.
+    """Check the system's node table as check_system does, and lay it out.
     Returns the nodes as (term, arg ids); per equation (lhs id, rhs id,
-    tree size, start, end), where start..end are the ids it computes
-    first; the ids freed after each step, where step i + k computes node i
-    of equation k and step end + k compares it; and the sorted coordinates
+    tree size, start, end), where start..end are the ids it computes first;
+    the ids freed after each step, where step i + k computes node i of
+    equation k and step end + k compares it; and the sorted coordinates
     (variable index - 1) of the variables the system mentions.  This is
-    solve_brute's plan; solve_bounded folds it first (see _fold).
-    """
+    solve_brute's plan; solve_bounded folds it first (see _fold)."""
     if system.s < 1:
         raise ValueError("system must contain at least one equation")
-    ids: dict = {}
-    nodes: list[tuple[Term, list[int]]] = []
-    sizes: list[int] = []  # AST nodes, as term_length counts them
-
-    def intern(t: Term, args: list[int]) -> int:
-        key = (t.op, *args) if isinstance(t, App) else t
-        i = ids.get(key)
-        if i is None:
-            check_node(alg, t)
-            i = ids[key] = len(nodes)
-            nodes.append((t, args))
-            size = 1
-            for a in args:
-                size += sizes[a]
-            sizes.append(size)
-        return i
-
-    roots = fold([t for eq in system.equations for t in eq], intern)
-    costs = [sizes[lhs] + sizes[rhs] for lhs, rhs in zip(roots[::2], roots[1::2])]
-    return _layout(nodes, roots, costs)
+    nodes, roots, sizes = system.table
+    for t, _ in nodes:
+        check_node(alg, t)
+    return _layout(nodes, roots, [sizes[a] + sizes[b] for a, b in zip(roots[::2], roots[1::2])])
 
 
 def _layout(nodes, roots, costs):
@@ -476,15 +451,14 @@ def solve_bounded(
     scan covered all of A^n."""
     if not 0 <= z < alg.size:
         raise ValueError(f"base element {z} out of range [0, {alg.size})")
-    planned = _fold(alg, _plan(alg, system))
-    n = system.n
-    if bound is None:
-        bound = make_bound_report(system.s, max_arity(alg), alg.size, n=n).effective_bound
-    if bound < 0:
+    if bound is not None and bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    planned = _fold(alg, _plan(alg, system))
+    if bound is None:
+        bound = make_bound_report(system.s, max_arity(alg), alg.size, n=system.n).effective_bound
     found, stats = _scan(alg, system, planned, bound, z)
     if found is None:
-        found = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
+        found = NoSolutionInBoundedSet(bound) if bound < system.n else NoSolutionExhaustive()
     return SolveOutcome(found, stats)
 
 

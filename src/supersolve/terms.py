@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, apply_op
 
@@ -52,6 +53,21 @@ class App:
 Term = Var | Const | App
 
 
+class NodeTable(NamedTuple):
+    """The hash-consed terms of a system, built by one fold on the first
+    read of EquationSystem.table: a leaf is keyed by itself and an
+    application by (op, arg ids), so equal subterms share one node.  nodes
+    holds each distinct node as (term, arg ids) in post-order of first
+    occurrence, roots the ids of lhs_1, rhs_1, lhs_2, ... and sizes each
+    node's tree size, as term_length counts it.  Nodes with one key get the
+    same checks from check_node, so checking them in table order meets the
+    first faulty node of a post-order walk over the trees."""
+
+    nodes: tuple[tuple[Term, tuple[int, ...]], ...]
+    roots: tuple[int, ...]
+    sizes: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class EquationSystem:
     equations: tuple[tuple[Term, Term], ...]
@@ -61,10 +77,24 @@ class EquationSystem:
         return len(self.equations)
 
     @cached_property
+    def table(self) -> NodeTable:
+        ids, nodes, sizes = {}, [], []
+
+        def intern(t: Term, args: list[int]) -> int:
+            key = (t.op, *args) if isinstance(t, App) else t
+            if key not in ids:
+                ids[key] = len(nodes)
+                nodes.append((t, tuple(args)))
+                sizes.append(sum(map(sizes.__getitem__, args), 1))
+            return ids[key]
+
+        roots = fold([t for eq in self.equations for t in eq], intern)
+        return NodeTable(tuple(nodes), tuple(roots), tuple(sizes))
+
+    @cached_property
     def n(self) -> int:
-        """Highest variable index occurring anywhere (0 if none), computed
-        on first read."""
-        return max((max_variable(t) for eq in self.equations for t in eq), default=0)
+        """Highest variable index in the node table (0 if none)."""
+        return max((t.index for t, _ in self.table.nodes if isinstance(t, Var)), default=0)
 
 
 # whitespace and ';' comments, then one token: a word, '#' and its digits,
@@ -268,10 +298,6 @@ def term_length(t: Term) -> int:
     return fold([t], lambda u, args: 1 + sum(args))[0]
 
 
-def max_variable(t: Term) -> int:
-    return fold([t], lambda u, args: u.index if isinstance(u, Var) else max(args, default=0))[0]
-
-
 def substitute(t: Term, mapping: dict[int, Term]) -> Term:
     """Replace each variable index in `mapping` by the given term."""
 
@@ -284,6 +310,7 @@ def substitute(t: Term, mapping: dict[int, Term]) -> Term:
 
 
 def check_system(alg: FiniteAlgebra, system: EquationSystem) -> None:
-    """Static validation: check_node on every node of every equation, in
-    post-order, so the first faulty node raises."""
-    fold([t for eq in system.equations for t in eq], lambda t, args: check_node(alg, t))
+    """Static validation: check_node once per distinct node, in node table
+    order, so the first faulty node of the trees' post-order raises."""
+    for t, _ in system.table.nodes:
+        check_node(alg, t)

@@ -322,12 +322,12 @@ def test_bench_satisfiable_exit_code(tmp_path, capsys, z2_file):
 
 
 def test_negative_bound_rejected(tmp_path, capsys, z4_file):
-    # rejected before any file is read: the system file does not exist
-    sys_path = str(tmp_path / "nope.txt")
+    # solve_bounded owns the check and its message, as for `bound -n -5`
+    sys_path = _system_file(tmp_path, "add(x1, x1) = #2\n")
     assert run_cli(
         capsys,
         ["solve", "--algebra", z4_file, "--system", sys_path, "--bound", "-1"],
-    ) == (2, "", "error: --bound must be >= 0\n")
+    ) == (2, "", "error: bound must be >= 0, got -1\n")
 
 
 def test_bound_override_used(tmp_path, capsys, z2_file):
@@ -802,25 +802,39 @@ def test_brute_past_int64_place_values(tmp_path, capsys, z2_file):
 
 
 def test_solve_walks_each_term_once_for_n(tmp_path, capsys, monkeypatch, z4_file):
-    # the JSON document and the solver both read EquationSystem.n
+    # one fold builds the node table that check_system, the JSON document's
+    # n and the solver's plan all read; a found solution adds only the
+    # re-verification's eval_term walk of each side
     walks = []
-    original = terms.max_variable
-    monkeypatch.setattr(terms, "max_variable", lambda t: walks.append(t) or original(t))
-    sys_path = _system_file(tmp_path, "add(x1, x2) = #3\nneg(x3) = x1\n")
-    code, out, err = run_cli(
-        capsys, ["solve", "--algebra", z4_file, "--system", sys_path, "--json"]
-    )
-    assert (code, err) == (0, "")
-    assert json.loads(out)["n"] == 3
-    assert len(walks) == 4
+    original = terms.fold
+
+    def spy(roots, visit):
+        walks.append(roots)
+        return original(roots, visit)
+
+    monkeypatch.setattr(terms, "fold", spy)
+    for text, satisfiable in [
+        ("add(x1, x1) = #1\nneg(x3) = x1\n", False),
+        ("add(x1, x2) = #3\nneg(x3) = x1\n", True),
+    ]:
+        walks.clear()
+        sys_path = _system_file(tmp_path, text)
+        code, out, err = run_cli(
+            capsys, ["solve", "--algebra", z4_file, "--system", sys_path, "--json"]
+        )
+        assert (code, err) == (0 if satisfiable else 1, "")
+        assert json.loads(out)["n"] == 3
+        sides = [t for eq in terms.parse_system(text).equations for t in eq]
+        assert walks == [sides] + ([[t] for t in sides] if satisfiable else [])
 
 
-def test_solve_checks_the_tree_at_the_boundary_and_each_distinct_node_once(
+def test_solve_checks_each_distinct_node_at_the_boundary_and_in_the_plan(
     tmp_path, capsys, monkeypatch, z4_file
 ):
-    # cli._load_inputs runs check_system over the 8 tree nodes, and the
-    # solver's plan checks the 4 distinct ones: x1, add(x1, x1), #1 and the
-    # root on the right; the system is unsatisfiable, so no re-verification
+    # cli._load_inputs runs check_system, and so does the solver's plan: each
+    # checks the 4 distinct nodes x1, add(x1, x1), #1 and the root on the
+    # right, not the 8 tree nodes; the system is unsatisfiable, so no
+    # re-verification
     checked = []
     original = terms.check_node
 
@@ -833,7 +847,7 @@ def test_solve_checks_the_tree_at_the_boundary_and_each_distinct_node_once(
     sys_path = _system_file(tmp_path, "add(x1, x1) = add(add(x1, x1), #1)\n")
     code, _, err = run_cli(capsys, ["solve", "--algebra", z4_file, "--system", sys_path])
     assert (code, err) == (1, "")
-    assert len(checked) == 8 + 4
+    assert len(checked) == 4 + 4
 
 
 def _chain_verdict(assignment, evaluations):

@@ -310,3 +310,17 @@ def test_arg_tuples_past_int64_ranks(arity, lo, rows):
     got = [tuple(c) for b in batches for c in b.tolist()]
     expected = (c for c in _lazy_product(snapshot, arity) if max(c) >= lo)
     assert len(batches) == 3 and got == list(itertools.islice(expected, len(got)))
+
+
+@pytest.mark.parametrize("constants", [False, True])
+def test_one_element_clone_ends_after_its_seeds(monkeypatch, constants):
+    # over one element every ternary table is x1's, so no argument tuple is
+    # built, however large the arity: the table below has one entry
+    import supersolve.malcev as malcev
+
+    calls = []
+    monkeypatch.setattr(malcev, "_arg_tuples", lambda *args: calls.append(args) or iter(()))
+    alg = FiniteAlgebra("one", 1, (OperationTable("f", 10**5, (0,)),))
+    clone = ternary_term_clone(alg, include_constants=constants)
+    assert clone == ([TernaryFunctionTable(1, (0,), Var(1))], True)
+    assert calls == []

@@ -29,7 +29,6 @@ from supersolve.terms import (
     Var,
     check_system,
     eval_term,
-    max_variable,
     parse_system,
     term_length,
 )
@@ -302,14 +301,17 @@ def test_solvers_validate_once_with_check_system_errors(z4, system):
     _assert_solvers_validate_like_check_system(z4, system)
 
 
-def test_solve_bounded_checks_z_then_system_then_bound(z4):
+def test_solve_bounded_checks_z_then_bound_then_system(z4):
+    # the arguments are checked before the system is planned
     bad = parse_system("add(x1) = #0")
     with pytest.raises(ValueError, match="base element"):
-        solve_bounded(z4, bad, z=7)
-    with pytest.raises(EvalError, match="arity"):
+        solve_bounded(z4, bad, z=7, bound=-1)
+    with pytest.raises(ValueError, match="bound must be >= 0, got -1"):
         solve_bounded(z4, bad, bound=-1)
+    with pytest.raises(EvalError, match="arity"):
+        solve_bounded(z4, bad, bound=0)
     with pytest.raises(ValueError, match="at least one equation"):
-        solve_bounded(z4, EquationSystem(()), bound=-1)
+        solve_bounded(z4, EquationSystem(()), bound=0)
 
 
 def _terms(alg):
@@ -415,7 +417,8 @@ def _folded_variables(alg, system):
         inner = set().union(*map(reads, t.args)) if isinstance(t, App) else set()
         if isinstance(t, App) and t.args and len(inner) <= 1:
             # t's value depends on inner alone, so one value for all variables will do
-            values = {eval_term(alg, t, [a] * max_variable(t)) for a in range(alg.size)}
+            n = EquationSystem(((t, t),)).n
+            values = {eval_term(alg, t, [a] * n) for a in range(alg.size)}
             if len(values) == 1:
                 return set()
         return inner

@@ -8,6 +8,7 @@ from supersolve.algebra import AlgebraError
 from supersolve.terms import (
     App,
     Const,
+    EquationSystem,
     EvalError,
     ParseError,
     Var,
@@ -16,14 +17,13 @@ from supersolve.terms import (
     fold,
     format_system,
     format_term,
-    max_variable,
     parse_system,
     parse_term,
     substitute,
     term_length,
 )
 
-from sampling import random_term
+from sampling import random_system, random_term
 
 
 def test_parse_examples():
@@ -193,7 +193,7 @@ def test_parser_fuzz_never_hangs_or_leaks_other_errors():
 
 def test_max_variable_and_substitute():
     term = parse_term("add(x2, add(x5, #1))")
-    assert max_variable(term) == 5
+    assert EquationSystem(((term, Const(0)),)).n == 5
     replaced = substitute(term, {5: Const(3)})
     assert replaced == parse_term("add(x2, add(#3, #1))")
     assert substitute(Const(1), {1: Var(2)}) == Const(1)
@@ -221,7 +221,59 @@ def test_fold_order_and_depth():
     assert fold([term, Var(3)], visit) == [2, 0]
     assert seen == [Var(1), Const(2), App("neg", (Const(2),)), term, Var(3)]
     deep = parse_term("neg(" * 100_000 + "add(x1, x2)" + ")" * 100_000)
-    assert (term_length(deep), max_variable(deep)) == (100_003, 2)
+    assert (term_length(deep), EquationSystem(((deep, deep),)).n) == (100_003, 2)
+
+
+def _post_order(t):
+    if isinstance(t, App):
+        for a in t.args:
+            yield from _post_order(a)
+    yield t
+
+
+def _max_variable(t):
+    if isinstance(t, Var):
+        return t.index
+    return max(map(_max_variable, t.args), default=0) if isinstance(t, App) else 0
+
+
+def _assert_node_table(system):
+    # the reference: the distinct subterm values, by recursion, in post-order
+    # of first occurrence; a node's arguments are the ids of its subterms
+    sides = [t for eq in system.equations for t in eq]
+    order = list(dict.fromkeys(u for t in sides for u in _post_order(t)))
+    ids = {u: i for i, u in enumerate(order)}
+    nodes, roots, sizes = system.table
+    assert nodes == tuple((u, tuple(ids[a] for a in getattr(u, "args", ()))) for u in order)
+    assert roots == tuple(ids[t] for t in sides)
+    assert sizes == tuple(map(term_length, order))
+    assert system.n == max(map(_max_variable, sides), default=0)
+
+
+def test_node_table_of_random_systems(group_fixtures, lattice):
+    rng = random.Random(21)
+    for alg in [*group_fixtures, lattice]:
+        for _ in range(40):
+            _assert_node_table(random_system(rng, alg, max_n=6, max_s=3, max_depth=4))
+
+
+_SHARED = parse_term("add(x2, neg(x1))")
+
+
+@pytest.mark.parametrize("equations, distinct", [
+    # one object reused, and an equal copy of it
+    (((App("add", (_SHARED, _SHARED)), parse_term("add(x2, neg(x1))")),), 5),
+    # a subterm, a constant and a nullary operation shared across equations
+    (((_SHARED, App("zero", ())), (App("neg", (_SHARED,)), App("zero", ()))), 6),
+    # a variable and a constant with one number are two nodes
+    (((Var(1), Const(1)), (App("add", (Var(1), Const(1))), Var(1))), 3),
+    # an equation whose sides are one node, and x3 beyond the rest
+    (((_SHARED, _SHARED), (Var(3), _SHARED)), 5),
+])
+def test_node_table_shares_equal_subterms(equations, distinct):
+    system = EquationSystem(equations)
+    _assert_node_table(system)
+    assert len(system.table.nodes) == distinct
 
 
 # Arbitrary text, drawn as lines "lhs = rhs" of arbitrary pieces.  The
