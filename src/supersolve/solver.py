@@ -13,17 +13,20 @@ Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
 scans all of A^n lexicographically.  Both solvers plan over the system's
-node table (terms.NodeTable), checking each distinct node once.
+node table (terms.NodeTable) in one pass: each distinct node is checked
+once, the bounded scan folds the table in place, and the nodes that the
+roots reach are laid out once.
 
 A system's value depends only on the variables V it mentions, so the
 scans build only V's columns.  The bounded scan first folds the constant
 one-variable subterms: a node that reads at most one variable is
 tabulated over A, and one that takes a single value c becomes #c, as
-mul(x7, inv(x7)) does in a group.  What is left reads only V' within V,
-and the bounded scan builds only the columns of V'; brute, the oracle, keeps
-the unfolded terms over V.  Each row's f, the index of the first
-equation it fails, comes from one evaluator of numpy table gathers: each
-distinct node once per chunk, each equation on the rows still satisfied.
+mul(x7, inv(x7)) does in a group, so that what it read is no longer
+reached.  What is left reads only V' within V, and the bounded scan
+builds only the columns of V'; brute, the oracle, keeps the unfolded
+terms over V.  Each row's f, the index of the first equation it fails,
+comes from one evaluator of numpy table gathers: each reached node once
+per chunk, each equation on the rows still satisfied.
 The bounded scan generates only the supports inside V': when the layers
 below w hold no solution, a solving row of layer w lies inside V', or
 resetting it to z outside V' would give a lighter solution.  Every other
@@ -32,8 +35,8 @@ form, with the tree sizes of the original terms.  The first solution has
 the base value (z, or 0 for brute) outside the scanned columns and is
 re-verified through the plain evaluator on the original terms.  Brute
 counts nothing: it evaluates every row of A^n, restricted to V's
-columns.  Chunks of both scans are capped by cells of all n coordinates
-as well as by rows, and carried in algebra.carrier_dtype, so that
+columns.  Chunks of both scans are capped by cells of the columns they
+hold as well as by rows, and carried in algebra.carrier_dtype, so that
 table_index gathers narrow too.
 Reported statistics are exact sequential-scan equivalents: candidates
 tested until the verdict, and tree nodes evaluated, where a candidate
@@ -140,20 +143,20 @@ def enumerate_bounded_weight(n: int, w: int, size: int, z: int = 0):
 # vectorized scan
 
 
-def _chunk_rows(n: int, chunk: int) -> int:
-    """Rows per chunk: at most chunk rows and 8 * chunk cells."""
-    return max(1, min(chunk, 8 * chunk // max(n, 1)))
+def _chunk_rows(width: int, chunk: int) -> int:
+    """Rows per chunk of width columns: at most chunk rows and 8 * chunk cells."""
+    return max(1, min(chunk, 8 * chunk // max(width, 1)))
 
 
 def _lex_chunks(n: int, size: int, cols, chunk: int = _CHUNK):
     """All of A^n, lexicographic (leftmost coordinate most significant),
     restricted to the coordinates cols."""
-    total, dtype, rows = size**n, carrier_dtype(size), _chunk_rows(n, chunk)
+    total, dtype, rows = size**n, carrier_dtype(size), _chunk_rows(len(cols), chunk)
     for start in range(0, total, rows):
         yield digits(np.arange(start, min(start + rows, total)), size, n, dtype, cols)
 
 
-def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK):
+def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
     """The canonical bounded-weight order of the rows whose support lies
     inside cols, as one (weight, chunks) pair per layer 0..min(w, len(cols)),
     where chunks lazily yields the layer's rows in blocks of cols's columns.
@@ -166,10 +169,9 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
     from combinations over cols's positions, `per` at a time, so a scan
     that stops early never draws the rest of a layer.
     """
-    base = size - 1
+    base, m = size - 1, len(cols)
     dtype = carrier_dtype(size)
-    rows = _chunk_rows(n, chunk)
-    m = len(cols)
+    rows = _chunk_rows(m, chunk)
 
     def layer(weight, block):
         per, step = max(1, rows // block), min(block, rows)
@@ -194,59 +196,60 @@ def _weight_chunks(n: int, w: int, size: int, z: int, cols, chunk: int = _CHUNK)
         yield weight, layer(weight, block)
 
 
-def _plan(alg: FiniteAlgebra, system: EquationSystem):
-    """Check the system's node table as check_system does, and lay it out.
-    Returns the nodes as (term, arg ids); per equation (lhs id, rhs id,
-    tree size, start, end), where start..end are the ids it computes first;
-    the ids freed after each step, where step i + k computes node i of
-    equation k and step end + k compares it; and the sorted coordinates
-    (variable index - 1) of the variables the system mentions.  This is
-    solve_brute's plan; solve_bounded folds it first (see _fold)."""
+def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
+    """Check the system's node table as check_system does, fold it if fold
+    (see _fold), and lay out the nodes that the roots reach.  Returns the
+    nodes as (term, arg ids); per equation (lhs id, rhs id, tree size of
+    its original terms, todo, end), where todo are the reached ids below
+    end that it computes first; the ids freed after each step, where step
+    i + k computes node i of equation k and step end + k compares it; and
+    the sorted coordinates (variable index - 1) of the reached variables:
+    V, or V' after a fold, since a folded node reaches nothing."""
     if system.s < 1:
         raise ValueError("system must contain at least one equation")
     nodes, roots, sizes = system.table
     for t, _ in nodes:
         check_node(alg, t)
-    return _layout(nodes, roots, [sizes[a] + sizes[b] for a, b in zip(roots[::2], roots[1::2])])
-
-
-def _layout(nodes, roots, costs):
-    """The plan of the node table nodes, in post-order, for the equations
-    roots[2k] = roots[2k + 1], whose trees have costs[k] nodes: see _plan."""
+    if fold:
+        nodes = _fold(alg, nodes)
+    reached = [False] * len(nodes)
+    for r in roots:
+        reached[r] = True
+    for i in range(len(nodes) - 1, -1, -1):
+        if reached[i]:
+            for a in nodes[i][1]:
+                reached[a] = True
     last: dict[int, int] = {}
     plan, start = [], 0
     for k, (lhs, rhs) in enumerate(zip(roots[::2], roots[1::2])):
         end = max(start, lhs + 1, rhs + 1)
-        for i in range(start, end):
+        todo = [i for i in range(start, end) if reached[i]]
+        for i in todo:
             for a in nodes[i][1]:
                 last[a] = i + k
         last[lhs] = last[rhs] = end + k
-        plan.append((lhs, rhs, costs[k], start, end))
+        plan.append((lhs, rhs, sizes[lhs] + sizes[rhs], todo, end))
         start = end
     frees: dict[int, list[int]] = {}
     for node, step in last.items():
         frees.setdefault(step, []).append(node)
-    cols = sorted(t.index - 1 for t, _ in nodes if isinstance(t, Var))
+    cols = sorted(t.index - 1 for (t, _), r in zip(nodes, reached) if r and isinstance(t, Var))
     return nodes, plan, frees, cols
 
 
-def _fold(alg: FiniteAlgebra, planned):
-    """planned, a system's _plan, with its constant one-variable subterms
-    folded: each node that reads at most one variable gets its values over
-    A, one per value of that variable, from its arguments' values, and an
+def _fold(alg: FiniteAlgebra, nodes):
+    """The node table nodes with its constant one-variable subterms folded:
+    each node that reads at most one variable gets its values over A, one
+    per value of that variable, from its arguments' values, and an
     application with arguments whose values are all one element c becomes
-    Const(c) (a nullary one is evaluated as a constant already).  The
-    nodes that no equation then reaches are dropped, so cols becomes V',
-    the variables the folded nodes still read: the system's value depends
-    on those alone.  Each equation keeps the tree size of its original
-    terms.  Returns planned itself when nothing folds.
-    """
-    nodes, plan = planned[:2]
+    (Const(c), ()) at its own id (a nullary one is evaluated as a constant
+    already).  What a folded node read is left in place, for _plan to find
+    unreached."""
+    nodes = list(nodes)
     size = alg.size
     tables = {op.name: op.table for op in alg.operations}
     reads = []  # per node: the variable it reads, 0 for none, -1 for several
     values = []  # per node reading at most one variable: its values over A
-    folded: dict[int, int] = {}
     for i, (t, args) in enumerate(nodes):
         if isinstance(t, Var):
             reads.append(t.index)
@@ -272,37 +275,17 @@ def _fold(alg: FiniteAlgebra, planned):
             table = tables[t.op]
             col = [table[j] for j in index]
             if args and col.count(col[0]) == size:
-                folded[i] = col[0]
+                nodes[i] = (Const(col[0]), ())
                 v = 0
         reads.append(v)
         values.append(col)
-    if not folded:
-        return planned
-    live = [False] * len(nodes)
-    for lhs, rhs, *_ in plan:
-        live[lhs] = live[rhs] = True
-    for i in range(len(nodes) - 1, -1, -1):
-        if live[i] and i not in folded:
-            for a in nodes[i][1]:
-                live[a] = True
-    # the live nodes keep their order, so each equation's still come first
-    kept: list[tuple[Term, list[int]]] = []
-    renamed = [0] * len(nodes)
-    for i, (t, args) in enumerate(nodes):
-        if live[i]:
-            renamed[i] = len(kept)
-            if i in folded:
-                kept.append((Const(folded[i]), []))
-            else:
-                kept.append((t, [renamed[a] for a in args]))
-    roots = [renamed[r] for lhs, rhs, *_ in plan for r in (lhs, rhs)]
-    return _layout(kept, roots, [eq[2] for eq in plan])
+    return nodes
 
 
 def _evaluator(alg: FiniteAlgebra, planned):
     """The function from a chunk X of the columns cols of planned, the
     system's _plan, to each row's f (s if the row fails no equation): it
-    gathers over the nodes of planned, each distinct node once, each equation
+    gathers over the reached nodes of planned, each once, each equation
     on the rows that satisfied those before it, each column freed after use."""
     dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
@@ -314,8 +297,8 @@ def _evaluator(alg: FiniteAlgebra, planned):
         f = np.zeros(len(X), fdtype)
         # rows: the rows of X still satisfied, which sel picks from X
         rows, sel, values = np.arange(len(X)), slice(None), {}
-        for k, (lhs, rhs, _, start, end) in enumerate(plan):
-            for i in range(start, end):
+        for k, (lhs, rhs, _, todo, end) in enumerate(plan):
+            for i in todo:
                 t, args = nodes[i]
                 if isinstance(t, Var):
                     values[i] = X[sel, at[t.index]]
@@ -412,7 +395,7 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
         nodes = sum(comb(n - m, w - k) * q ** (w - k) * t for w, k, t in layers)
         return bounded_weight_count(n, top, alg.size), nodes
 
-    for w, chunks in _weight_chunks(n, bound, alg.size, z, cols, _CHUNK):
+    for w, chunks in _weight_chunks(bound, alg.size, z, cols, _CHUNK):
         fs.append([])
         for X in chunks:
             f = failures(X)
@@ -453,7 +436,7 @@ def solve_bounded(
         raise ValueError(f"base element {z} out of range [0, {alg.size})")
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    planned = _fold(alg, _plan(alg, system))
+    planned = _plan(alg, system, fold=True)
     if bound is None:
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=system.n).effective_bound
     found, stats = _scan(alg, system, planned, bound, z)

@@ -83,7 +83,7 @@ def test_vectorized_chunks_match_generator_order():
     for n, w, size, z in [(0, 0, 3, 0), (3, 1, 4, 0), (2, 1, 3, 1), (4, 4, 3, 2), (5, 2, 2, 0)]:
         chunked = [
             tuple(int(v) for v in row)
-            for X in _flat(_weight_chunks(n, w, size, z, cols=range(n), chunk=7))
+            for X in _flat(_weight_chunks(w, size, z, cols=range(n), chunk=7))
             for row in X
         ]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
@@ -98,12 +98,12 @@ def test_vectorized_chunks_match_generator_order():
     # chunk=64 packs whole supports with a remainder (36 weight-2 supports,
     # 14 per chunk); at n=40 the cell cap binds (8 * 64 // 40 = 12 rows)
     for n, w, size, z, chunk in [(9, 3, 3, 1, 64), (40, 2, 2, 0, 64), (6, 4, 3, 0, 1)]:
-        chunks = list(_flat(_weight_chunks(n, w, size, z, cols=range(n), chunk=chunk)))
+        chunks = list(_flat(_weight_chunks(w, size, z, cols=range(n), chunk=chunk)))
         assert all(X.dtype == np.uint8 for X in chunks)
         assert all(0 < len(X) <= min(chunk, 8 * chunk // n) or len(X) == 1 for X in chunks)
         chunked = [tuple(int(v) for v in row) for X in chunks for row in X]
         assert chunked == list(enumerate_bounded_weight(n, w, size, z))
-    assert max(len(X) for X in _flat(_weight_chunks(9, 2, 3, 1, cols=range(9), chunk=64))) == 14 * 4
+    assert max(len(X) for X in _flat(_weight_chunks(2, 3, 1, cols=range(9), chunk=64))) == 14 * 4
     # the brute scan has the same cap: 8 * 16 // 10 = 12 rows per chunk
     chunks = list(_lex_chunks(10, 2, cols=range(10), chunk=16))
     assert all(len(X) <= 12 for X in chunks) and len(chunks) == -(-1024 // 12)
@@ -116,7 +116,7 @@ def test_projected_chunks_keep_rows_and_boundaries():
 
     # the bounded chunks hold, in canonical order, the rows whose support
     # lies inside cols (including no column at all), restricted to cols,
-    # with rows per chunk capped by all n columns
+    # with rows per chunk capped by cols's columns
     rng = random.Random(5)
     for n, w, size, z, chunk in [
         (0, 0, 3, 0, 7), (5, 2, 2, 0, 7), (6, 4, 3, 2, 64), (9, 3, 3, 1, 64),
@@ -124,10 +124,10 @@ def test_projected_chunks_keep_rows_and_boundaries():
     ]:
         for cols in [[], [n - 1], sorted(rng.sample(range(n), n // 2))]:
             cols = sorted({c for c in cols if 0 <= c < n})
-            layers = [(k, list(chunks)) for k, chunks in _weight_chunks(n, w, size, z, cols, chunk)]
+            layers = [(k, list(chunks)) for k, chunks in _weight_chunks(w, size, z, cols, chunk)]
             assert [k for k, _ in layers] == list(range(min(w, len(cols)) + 1))
             part = [X for _, chunks in layers for X in chunks]
-            assert all(0 < len(X) <= _chunk_rows(n, chunk) for X in part)
+            assert all(0 < len(X) <= _chunk_rows(len(cols), chunk) for X in part)
             assert all(X.shape[1] == len(cols) and X.flags.f_contiguous for X in part)
             rows = [tuple(int(v) for v in row) for X in part for row in X]
             assert rows == [
@@ -138,14 +138,42 @@ def test_projected_chunks_keep_rows_and_boundaries():
     for n, size, chunk in [(0, 2, 5), (4, 3, 5), (10, 2, 16), (6, 4, 7)]:
         for cols in [[], [0], [n - 1], list(range(0, n, 2))]:
             cols = sorted({c for c in cols if 0 <= c < n})
+            # every chunk but the last holds _chunk_rows(len(cols), chunk) rows
             part = list(_lex_chunks(n, size, cols=cols, chunk=chunk))
+            rows = _chunk_rows(len(cols), chunk)
             assert [len(X) for X in part] == [
-                len(X) for X in _lex_chunks(n, size, cols=range(n), chunk=chunk)
+                min(rows, size**n - start) for start in range(0, size**n, rows)
             ]
             rows = [tuple(int(v) for v in row) for X in part for row in X]
             assert rows == [
                 tuple(a[c] for c in cols) for a in itertools.product(range(size), repeat=n)
             ]
+
+
+def test_chunks_are_capped_by_the_cells_of_their_own_columns(monkeypatch, z2):
+    # over Z2, with t = x1 + ... + x11 + x1000000, add(t, t) = #1 scans 12
+    # columns: each of the layers 0..6 fits in one chunk, where a cap of
+    # 8 * 65536 cells over all 10**6 coordinates would leave one row a chunk
+    import functools
+    from math import comb
+
+    import supersolve.solver as solver
+
+    t = functools.reduce(lambda t, i: f"add({t}, x{i})", [*range(2, 12), 10**6], "x1")
+    weight_chunks, layers = solver._weight_chunks, []
+
+    def spy(*args):
+        for w, chunks in weight_chunks(*args):
+            chunks = list(chunks)
+            layers.append([len(X) for X in chunks])
+            yield w, iter(chunks)
+
+    monkeypatch.setattr(solver, "_weight_chunks", spy)
+    out = solve_bounded(z2, parse_system(f"add({t}, {t}) = #1"), bound=6)
+    assert layers == [[comb(12, w)] for w in range(7)]
+    total = sum(comb(10**6, i) for i in range(7))
+    assert out.verdict == NoSolutionInBoundedSet(bound=6)
+    assert out.stats == solver.SolveStats(total, 48 * total)
 
 
 def test_support_batches_match_combinations():
@@ -163,7 +191,7 @@ def test_support_batches_match_combinations():
                     # a chunk whose rows, capped by 8 * chunk cells, are per * block
                     chunk = -(-per * block * max(m, 8) // 8)
                     assert _chunk_rows(m, chunk) == per * block
-                    layers = dict(_weight_chunks(m, w, size, z, range(m), chunk))
+                    layers = dict(_weight_chunks(w, size, z, range(m), chunk))
                     batches = [X[::block] for X in layers[w]]
                     assert all(len(S) == per for S in batches[:-1])
                     assert 0 < len(batches[-1]) <= per
@@ -172,7 +200,7 @@ def test_support_batches_match_combinations():
     # a layer of C(200, 100) supports is never built whole: its first chunk
     # holds the first _chunk_rows(200, 65536) = 2621 of them
     start = time.perf_counter()
-    first = next(dict(_weight_chunks(200, 100, 2, 0, range(200)))[100])
+    first = next(dict(_weight_chunks(100, 2, 0, range(200)))[100])
     assert time.perf_counter() - start < 1
     assert [tuple(np.flatnonzero(row).tolist()) for row in first] == list(
         itertools.islice(itertools.combinations(range(200), 100), 2621)
@@ -652,7 +680,7 @@ def test_solution_layer_counts_cover_both_cases_of_a_support(order, text, z, bou
     found = _assert_late_matches_reference(alg, system, z, bound)
     S = {i for i, v in enumerate(found) if v != z}
     assert len(S) == bound and S <= mentioned
-    assert order ** len(mentioned) > solver._chunk_rows(n, 64)
+    assert order ** len(mentioned) > solver._chunk_rows(len(mentioned), 64)
     unmentioned, cases = set(range(n)) - mentioned, set()
     for k in range(len(S)):
         for T in map(set, itertools.combinations(sorted(mentioned), k)):
@@ -703,7 +731,7 @@ def test_folded_scan_matches_the_reference(group_fixtures, lattice, data):
     z = data.draw(st.integers(1, size - 1))
     bounds = [w for w in range(n + 1) if bounded_weight_count(n, w, size) <= 3000]
     bound = data.draw(st.just(bounds[-1]) | st.sampled_from(bounds))
-    folded = solver._fold(alg, solver._plan(alg, system))
+    folded = solver._plan(alg, system, fold=True)
     assert folded[3] == sorted(v - 1 for v in _folded_variables(alg, system))
     ref_sol, ref_tested, ref_nodes = _reference_scan(
         alg, system, enumerate_bounded_weight(n, bound, size, z)
@@ -729,8 +757,7 @@ def test_folded_variables_alone_decide_every_equation(group_fixtures, lattice, d
 
     alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
     system = data.draw(_foldable_systems(alg, 3))
-    planned = solver._plan(alg, system)
-    mentioned, read = planned[3], solver._fold(alg, planned)[3]
+    mentioned, read = solver._plan(alg, system)[3], solver._plan(alg, system, fold=True)[3]
     assert set(read) <= set(mentioned)
     sides = {}
     for p in itertools.product(range(alg.size), repeat=len(mentioned)):
@@ -739,6 +766,55 @@ def test_folded_variables_alone_decide_every_equation(group_fixtures, lattice, d
             a[c] = v
         values = tuple(eval_term(alg, t, a) for eq in system.equations for t in eq)
         assert sides.setdefault(tuple(a[c] for c in read), values) == values
+
+
+def _assert_layout(alg, system, fold):
+    """_plan's layout of system: each reached node computed once, after its
+    arguments, and freed at its last use; see the test below."""
+    import supersolve.solver as solver
+
+    table = system.table
+    nodes, plan, frees, cols = solver._plan(alg, system, fold=fold)
+    folded = {i for i, node in enumerate(nodes) if node != table.nodes[i]}
+    assert all(isinstance(nodes[i][0], Const) and not nodes[i][1] for i in folded)
+    assert all(table.nodes[i][1] for i in folded) and (fold or not folded)
+    # the nodes on a path to a root that passes through no folded node
+    reached, stack = set(), list(table.roots)
+    while stack:
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            stack.extend(() if i in folded else table.nodes[i][1])
+    order, computed, uses = [], set(), {}
+    for k, (lhs, rhs, cost, todo, end) in enumerate(plan):
+        assert (lhs, rhs) == table.roots[2 * k : 2 * k + 2]
+        assert cost == sum(map(term_length, system.equations[k]))
+        for i in todo:
+            assert i < end and set(nodes[i][1]) <= computed
+            computed.add(i)
+            uses.update((a, i + k) for a in nodes[i][1])
+        assert {lhs, rhs} <= computed
+        uses[lhs] = uses[rhs] = end + k
+        order += todo
+    assert order == sorted(set(order))  # ascending, and disjoint across equations
+    assert sorted((a, step) for step, ids in frees.items() for a in ids) == sorted(uses.items())
+    assert set(uses) == computed
+    assert computed == (reached if fold else set(range(len(table.nodes))))
+    assert cols == sorted(nodes[i][0].index - 1 for i in computed if isinstance(nodes[i][0], Var))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plan_lays_out_each_reached_node_once(group_fixtures, lattice, data):
+    # todo lists ascending and disjoint, each argument computed before its
+    # node, each computed node freed once at its last use, every node
+    # computed without a fold, and with one exactly those that the roots
+    # reach without passing through a folded node; cols are their variables
+    alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for system in (random_system(rng, alg, max_n=5, max_s=3), data.draw(_foldable_systems(alg, 4))):
+        for fold in (False, True):
+            _assert_layout(alg, system, fold)
 
 
 def test_brute_scans_the_unfolded_system_over_every_mentioned_variable(monkeypatch, z4):
@@ -755,9 +831,9 @@ def test_brute_scans_the_unfolded_system_over_every_mentioned_variable(monkeypat
             seen.append(("brute rows", X.shape))
             yield X
 
-    def weight_spy(n, w, size, z, cols, chunk):
+    def weight_spy(w, size, z, cols, chunk):
         seen.append(("bounded", list(cols)))
-        return weight_chunks(n, w, size, z, cols, chunk)
+        return weight_chunks(w, size, z, cols, chunk)
 
     monkeypatch.setattr(solver, "_lex_chunks", lex_spy)
     monkeypatch.setattr(solver, "_weight_chunks", weight_spy)
