@@ -6,7 +6,10 @@ sits at index ``sum(a_i * size**(r-i))``, and a nullary operation is a
 table of length one.  This layout is normative for the JSON file format
 (see :func:`load_algebra`) and is shared by every table in the package:
 :func:`table_index` and :func:`digits` are its one implementation, for
-single lookups and numpy batches alike.
+single lookups and numpy batches alike: table_index maps argument tuples
+to indices, and digits maps a contiguous range of indices back to their
+tuples, building each argument's column from its period (an argument of
+place value P holds each value P times in turn, with period size * P).
 """
 
 from __future__ import annotations
@@ -75,23 +78,49 @@ def carrier_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(size - 1)
 
 
-def digits(ranks: np.ndarray, base: int, width: int, dtype, cols=None) -> np.ndarray:
-    """The argument tuples at the row-major table indices ranks (an
-    ascending int64 array), width arguments over base elements, as a
-    column-major (len(ranks), len(cols)) array of their positions cols
-    (default: all).  For ranks start..stop-1 these are those rows of
-    itertools.product(range(base), repeat=width).
+@lru_cache(maxsize=64)
+def _cycle(base: int, dtype) -> np.ndarray:
+    """0, 1, ..., base-1 twice, read-only: the values of any base + 1
+    consecutive blocks of a digit column start inside it."""
+    cycle = np.tile(np.arange(base, dtype=dtype), 2)
+    cycle.flags.writeable = False
+    return cycle
 
-    A column whose place value exceeds the last rank holds only zeros; it
-    is not computed, since that place value may not fit in int64.
+
+def digits(start: int, stop: int, base: int, width: int, dtype, cols=None) -> np.ndarray:
+    """Rows start..stop-1 of itertools.product(range(base), repeat=width),
+    the argument tuples at those row-major table indices, as a column-major
+    (stop - start, len(cols)) array in dtype of their positions cols
+    (default: all).
+
+    Column t has place value P = base**(width-1-t): it holds each value P
+    times in turn, so it repeats with period base * P.  It is built from
+    that structure, in dtype: the values of the blocks the rows meet,
+    each repeated P times, and that one period tiled when it is shorter
+    than the rows.  Block offsets are Python ints, so start and stop may
+    pass int64.  A column whose place value exceeds the last rank holds
+    only zeros and is not computed.
     """
     cols = range(width) if cols is None else cols
-    top = int(ranks[-1]) if len(ranks) else -1
-    out = np.zeros((len(ranks), len(cols)), dtype=dtype, order="F")
+    n = stop - start
+    out = np.zeros((n, len(cols)), dtype=dtype, order="F")
     for j, t in enumerate(cols):
         place = base ** (width - 1 - t)
-        if place <= top:
-            out[:, j] = ranks // place % base
+        if place >= stop:
+            continue
+        block, off = divmod(start, place)
+        if place >= n:  # the rows meet at most two blocks
+            out[: place - off, j] = block % base
+            out[place - off :, j] = (block + 1) % base
+            continue
+        rows = min(n, base * place)  # one period, or all the rows
+        first = block % base
+        column = _cycle(base, dtype)[first : first + (off + rows - 1) // place + 1]
+        if place > 1:
+            column = column.repeat(place)[off : off + rows]
+        if rows < n:
+            column = column[None].repeat(-(-n // rows), 0).ravel()[:n]
+        out[:, j] = column
     return out
 
 
@@ -190,7 +219,7 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
     size = a.size * b.size
     ops = []
     for op_a, op_b in zip(a.operations, b.operations):
-        args = digits(np.arange(size**op_a.arity), size, op_a.arity, np.intp)
+        args = digits(0, size**op_a.arity, size, op_a.arity, np.intp)
         va = np.asarray(op_a.table).take(table_index((args // b.size).T, a.size))
         vb = np.asarray(op_b.table).take(table_index((args % b.size).T, b.size))
         table = np.ravel(va * b.size + vb).tolist()

@@ -62,21 +62,15 @@ def _arg_tuples(snapshot: int, arity: int, lo: int, rows: int):
     range(lo, snapshot), in product order: (k, arity) intp batches, each
     filtered from a run of at most rows consecutive product ranks.
 
-    Ranks stay below 2**63: while snapshot**arity would not fit in int64,
-    the leading indices run in Python, set in the columns digits leaves 0.
+    The ranks are Python ints handed to digits as ranges, so
+    snapshot**arity may pass int64.
     """
-    lead = 0
-    while snapshot ** (arity - lead) >= 2**63:
-        lead += 1
-    rest = snapshot ** (arity - lead)
-    for high in range(snapshot**lead):
-        for start in range(0, rest, rows):
-            combos = digits(np.arange(start, min(start + rows, rest)), snapshot, arity, np.intp)
-            for t in range(lead):
-                combos[:, t] = high // snapshot ** (lead - 1 - t) % snapshot
-            combos = combos[combos.max(axis=1) >= lo]
-            if len(combos):
-                yield combos
+    total = snapshot**arity
+    for start in range(0, total, rows):
+        combos = digits(start, min(start + rows, total), snapshot, arity, np.intp)
+        combos = combos[combos.max(axis=1) >= lo]
+        if len(combos):
+            yield combos
 
 
 def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):

@@ -37,7 +37,9 @@ re-verified through the plain evaluator on the original terms.  Brute
 counts nothing: it evaluates every row of A^n, restricted to V's
 columns.  Chunks of both scans are capped by cells of the columns they
 hold as well as by rows, and carried in algebra.carrier_dtype, so that
-table_index gathers narrow too.
+table_index gathers narrow too: algebra.digits builds a chunk's rows,
+or a layer's value tuples, from a contiguous range of ranks, each column
+from its period, with no row-length int64 array.
 Reported statistics are exact sequential-scan equivalents: candidates
 tested until the verdict, and tree nodes evaluated, where a candidate
 evaluates equations left to right and stops at the first mismatch.
@@ -153,7 +155,7 @@ def _lex_chunks(n: int, size: int, cols, chunk: int = _CHUNK):
     restricted to the coordinates cols."""
     total, dtype, rows = size**n, carrier_dtype(size), _chunk_rows(len(cols), chunk)
     for start in range(0, total, rows):
-        yield digits(np.arange(start, min(start + rows, total)), size, n, dtype, cols)
+        yield digits(start, min(start + rows, total), size, n, dtype, cols)
 
 
 def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
@@ -182,8 +184,7 @@ def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
             where = S, np.arange(len(S))[:, None]
             for start in range(0, block, step):
                 if vals is None or step < block:
-                    ranks = np.arange(start, min(start + step, block))
-                    vals = digits(ranks, base, weight, dtype)
+                    vals = digits(start, min(start + step, block), base, weight, dtype)
                     vals += vals >= z
                 X = np.full((m, len(S), len(vals)), z, dtype=dtype)
                 X[where] = vals.T
@@ -295,28 +296,30 @@ def _evaluator(alg: FiniteAlgebra, planned):
 
     def failures(X):
         f = np.zeros(len(X), fdtype)
-        # rows: the rows of X still satisfied, which sel picks from X
-        rows, sel, values = np.arange(len(X)), slice(None), {}
+        # sel picks the rows of X still satisfied: all of them, then the
+        # row ids the first equation keeps, then those the next ones keep
+        live, sel, values = len(X), slice(None), {}
         for k, (lhs, rhs, _, todo, end) in enumerate(plan):
             for i in todo:
                 t, args = nodes[i]
                 if isinstance(t, Var):
                     values[i] = X[sel, at[t.index]]
                 elif isinstance(t, Const):
-                    values[i] = np.full(len(rows), t.value, dtype)
+                    values[i] = np.full(live, t.value, dtype)
                 elif args:
                     index = table_index([values[a] for a in args], alg.size)
                     values[i] = tables[t.op].take(index)
                 else:
-                    values[i] = np.full(len(rows), tables[t.op][0], dtype)
+                    values[i] = np.full(live, tables[t.op][0], dtype)
                 for a in frees.get(i + k, ()):
                     del values[a]
             keep = values[lhs] == values[rhs]
             for a in frees.get(end + k, ()):
                 del values[a]
-            rows = sel = rows[keep]
-            f[rows] = k + 1
-            if not len(rows):
+            sel = keep.nonzero()[0] if k == 0 else sel[keep]
+            f[sel] = k + 1
+            live = len(sel)
+            if not live:
                 break
             values = {i: v[keep] for i, v in values.items()}
         return f

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supersolve.algebra import (
     AlgebraError,
@@ -155,17 +157,17 @@ def test_table_index_and_digits_match_product():
                 assert table_index(args, base) == formula == args_rank
             for start in range(len(rows) + 1):
                 for stop in range(start, len(rows) + 1):
-                    block = digits(np.arange(start, stop), base, width, np.uint8)
+                    block = digits(start, stop, base, width, np.uint8)
                     assert block.shape == (stop - start, width)
                     assert block.dtype == np.uint8 and block.flags.f_contiguous
                     assert [tuple(r) for r in block.tolist()] == rows[start:stop]
-            # any ascending ranks, and any positions of the tuples
-            ranks = np.array(sorted(random.Random(width).choices(range(len(rows)), k=9)))
+            # any range, and any positions of the tuples
+            start, stop = sorted(random.Random(width).choices(range(len(rows) + 1), k=2))
             for cols in ([], list(range(width))[::2], [width - 1] if width else []):
-                block = digits(ranks, base, width, np.uint8, cols)
-                assert block.shape == (9, len(cols)) and block.flags.f_contiguous
-                assert block.tolist() == [[rows[r][c] for c in cols] for r in ranks]
-            columns = list(digits(np.arange(len(rows)), base, width, np.uint8).T)
+                block = digits(start, stop, base, width, np.uint8, cols)
+                assert block.shape == (stop - start, len(cols)) and block.flags.f_contiguous
+                assert block.tolist() == [[rows[r][c] for c in cols] for r in range(start, stop)]
+            columns = list(digits(0, len(rows), base, width, np.uint8).T)
             flat = table_index(columns, base)
             if width:
                 # unsigned columns: the narrowest type that holds the last index
@@ -189,11 +191,50 @@ def test_table_index_and_digits_match_product():
     # the leading place values 2**69 .. 2**63 do not fit in int64
     rows = list(itertools.islice(itertools.product(range(2), repeat=70), 1000))
     for start in (0, 500):
-        block = digits(np.arange(start, 1000), 2, 70, np.uint8)
+        block = digits(start, 1000, 2, 70, np.uint8)
         assert [tuple(r) for r in block.tolist()] == rows[start:]
-    assert digits(np.arange(990, 1000), 2, 70, np.uint8, [0, 69]).tolist() == [
+    assert digits(990, 1000, 2, 70, np.uint8, [0, 69]).tolist() == [
         [0, r % 2] for r in range(990, 1000)
     ]
+
+
+@st.composite
+def _digit_ranges(draw):
+    """A base with its dtype (bases 1 to 6 in uint8, or the closure's 216 in
+    intp), a width of 0 to 8, a range start..stop of at most 3,000 product
+    rows starting in the first 20,000, and positions cols (None: all)."""
+    base, dtype = draw(st.sampled_from([(b, np.uint8) for b in range(1, 7)] + [(216, np.intp)]))
+    width = draw(st.integers(0, 8))
+    total = base**width
+    start = draw(st.integers(0, min(total, 20_000)))
+    stop = draw(st.integers(start, min(total, start + 3_000)))
+    positions = st.lists(st.integers(0, width - 1), unique=True) if width else st.just([])
+    return base, dtype, width, start, stop, draw(st.none() | positions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digit_ranges())
+# the leading place values 2**69 .. 2**63 do not fit in int64
+@example((2, np.uint8, 70, 990, 1000, [0, 69]))
+@example((2, np.uint8, 70, 500, 1000, None))
+# a period (4**k) that divides neither boundary, and one shorter than the rows
+@example((4, np.uint8, 8, 47_662, 50_000, None))
+def test_digits_are_product_slices(case):
+    base, dtype, width, start, stop, cols = case
+    block = digits(start, stop, base, width, dtype, cols)
+    cols = range(width) if cols is None else cols
+    rows = itertools.islice(itertools.product(range(base), repeat=width), start, stop)
+    assert block.dtype == dtype and block.flags.f_contiguous
+    assert block.shape == (stop - start, len(cols))
+    assert block.tolist() == [[r[c] for c in cols] for r in rows]
+
+
+def test_digits_take_ranges_past_int64():
+    # block offsets stay Python ints: rows around 2**64 of the 70-bit
+    # product are its binary numerals
+    start = 2**64 - 5
+    block = digits(start, start + 10, 2, 70, np.uint8)
+    assert block.tolist() == [[int(b) for b in f"{r:070b}"] for r in range(start, start + 10)]
 
 
 def test_table_index_widens_narrow_arrays():

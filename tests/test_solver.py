@@ -150,6 +150,24 @@ def test_projected_chunks_keep_rows_and_boundaries():
             ]
 
 
+def test_lex_chunk_allocates_about_its_own_size():
+    # a chunk's columns are built in the carrier dtype from their periods:
+    # no row-length int64 ranks or quotients sit beside the 512 KB chunk
+    import tracemalloc
+
+    from supersolve.solver import _lex_chunks
+
+    chunks = _lex_chunks(8, 4, range(8))
+    tracemalloc.start()
+    try:
+        X = next(chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (4**8, 8) and X.nbytes == 512 * 1024
+    assert peak < 2 * X.nbytes, peak
+
+
 def test_chunks_are_capped_by_the_cells_of_their_own_columns(monkeypatch, z2):
     # over Z2, with t = x1 + ... + x11 + x1000000, add(t, t) = #1 scans 12
     # columns: each of the layers 0..6 fits in one chunk, where a cap of
@@ -579,10 +597,10 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
     for chunk in (1, 7, 64, solver._CHUNK):
         built, drawn = set(), []
 
-        def spy(ranks, base, width, dtype, cols=None):
+        def spy(start, stop, base, width, dtype, cols=None):
             if base == size - 1:  # a value block of the layer of this weight
                 built.add(width)
-            return digits(ranks, base, width, dtype, cols)
+            return digits(start, stop, base, width, dtype, cols)
 
         def generated(*args):
             for k, chunks in weight_chunks(*args):
