@@ -13,9 +13,9 @@ Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
 lexicographic order over the non-z elements.  The brute-force oracle
 scans all of A^n lexicographically.  Both solvers plan over the system's
-node table (terms.NodeTable) in one pass: each distinct node is checked
-once, the bounded scan folds the table in place, and the nodes that the
-roots reach are laid out once.
+node table (terms.NodeTable) in one forward pass, which checks each
+distinct node once and, for the bounded scan, folds it in place; the nodes
+that the roots reach are then laid out once, each freed at its last reader.
 
 A system's value depends only on the variables V it mentions, so the
 scans build only V's columns.  The bounded scan first folds the constant
@@ -169,7 +169,9 @@ def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
     one support and a slice of its values.  Chunks are column-major, so the
     evaluator reads each variable's column contiguously.  The supports come
     from combinations over cols's positions, `per` at a time, so a scan
-    that stops early never draws the rest of a layer.
+    that stops early never draws the rest of a layer.  Over a one-element
+    carrier the layers above 0 hold no rows and must not be drawn: every
+    term is 0 there, so layer 0's only row solves the system.
     """
     base, m = size - 1, len(cols)
     dtype = carrier_dtype(size)
@@ -191,28 +193,60 @@ def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
                 yield X.reshape(m, len(S) * len(vals)).T
 
     for weight in range(min(w, m) + 1):
-        block = base**weight
-        if not block:
-            break  # a one-element carrier has no non-z values
-        yield weight, layer(weight, block)
+        yield weight, layer(weight, base**weight)
 
 
 def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
-    """Check the system's node table as check_system does, fold it if fold
-    (see _fold), and lay out the nodes that the roots reach.  Returns the
-    nodes as (term, arg ids); per equation (lhs id, rhs id, tree size of
-    its original terms, todo, end), where todo are the reached ids below
-    end that it computes first; the ids freed after each step, where step
-    i + k computes node i of equation k and step end + k compares it; and
-    the sorted coordinates (variable index - 1) of the reached variables:
-    V, or V' after a fold, since a folded node reaches nothing."""
+    """Check the system's node table as check_system does and, if fold, fold
+    its constant one-variable subterms in the same forward pass; then lay out
+    the nodes that the roots reach.
+
+    Each node is checked before the fold reads it.  The fold tabulates each
+    node that reads at most one variable over A, from its arguments' values,
+    and turns an application whose values are all one element c into
+    (Const(c), ()) at its own id (a nullary one is evaluated as a constant
+    already); what a folded node read stays in place, unreached.
+
+    Returns the nodes as (term, arg ids); per equation (lhs id, rhs id, tree
+    size of its original terms, todo), todo being the reached ids it computes
+    first; the ids that each last reader frees, keyed by its node id or by ~k
+    for equation k's comparison; and the reached variables' sorted
+    coordinates (index - 1): V, or V' after a fold."""
     if system.s < 1:
         raise ValueError("system must contain at least one equation")
     nodes, roots, sizes = system.table
-    for t, _ in nodes:
+    nodes, size = list(nodes), alg.size
+    tables = {op.name: op.table for op in alg.operations}
+    reads = []  # per node: the variable it reads, 0 for none, -1 for several
+    values = []  # per node reading at most one variable: its values over A
+    for i, (t, args) in enumerate(nodes):
         check_node(alg, t)
-    if fold:
-        nodes = _fold(alg, nodes)
+        if not fold:
+            continue
+        v, col = 0, None
+        if isinstance(t, Var):
+            v, col = t.index, range(size)
+        elif isinstance(t, Const):
+            col = (t.value,) * size
+        else:
+            for a in args:
+                u = reads[a]
+                if u and u != v:
+                    if v:
+                        v = -1
+                        break
+                    v = u
+            if v >= 0:
+                index = values[args[0]] if args else (0,) * size
+                for a in args[1:]:
+                    index = [j * size + x for j, x in zip(index, values[a])]
+                table = tables[t.op]
+                col = [table[j] for j in index]
+                if args and col.count(col[0]) == size:
+                    nodes[i] = (Const(col[0]), ())
+                    v = 0
+        reads.append(v)
+        values.append(col)
     reached = [False] * len(nodes)
     for r in roots:
         reached[r] = True
@@ -220,74 +254,30 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
         if reached[i]:
             for a in nodes[i][1]:
                 reached[a] = True
-    last: dict[int, int] = {}
+    last: dict[int, int] = {}  # per computed node: its last reader
     plan, start = [], 0
     for k, (lhs, rhs) in enumerate(zip(roots[::2], roots[1::2])):
         end = max(start, lhs + 1, rhs + 1)
         todo = [i for i in range(start, end) if reached[i]]
         for i in todo:
             for a in nodes[i][1]:
-                last[a] = i + k
-        last[lhs] = last[rhs] = end + k
-        plan.append((lhs, rhs, sizes[lhs] + sizes[rhs], todo, end))
+                last[a] = i
+        last[lhs] = last[rhs] = ~k
+        plan.append((lhs, rhs, sizes[lhs] + sizes[rhs], todo))
         start = end
     frees: dict[int, list[int]] = {}
-    for node, step in last.items():
-        frees.setdefault(step, []).append(node)
+    for node, reader in last.items():
+        frees.setdefault(reader, []).append(node)
     cols = sorted(t.index - 1 for (t, _), r in zip(nodes, reached) if r and isinstance(t, Var))
     return nodes, plan, frees, cols
-
-
-def _fold(alg: FiniteAlgebra, nodes):
-    """The node table nodes with its constant one-variable subterms folded:
-    each node that reads at most one variable gets its values over A, one
-    per value of that variable, from its arguments' values, and an
-    application with arguments whose values are all one element c becomes
-    (Const(c), ()) at its own id (a nullary one is evaluated as a constant
-    already).  What a folded node read is left in place, for _plan to find
-    unreached."""
-    nodes = list(nodes)
-    size = alg.size
-    tables = {op.name: op.table for op in alg.operations}
-    reads = []  # per node: the variable it reads, 0 for none, -1 for several
-    values = []  # per node reading at most one variable: its values over A
-    for i, (t, args) in enumerate(nodes):
-        if isinstance(t, Var):
-            reads.append(t.index)
-            values.append(range(size))
-            continue
-        if isinstance(t, Const):
-            reads.append(0)
-            values.append((t.value,) * size)
-            continue
-        v = 0
-        for a in args:
-            u = reads[a]
-            if u and u != v:
-                if v:
-                    v = -1
-                    break
-                v = u
-        col = None
-        if v >= 0:
-            index = values[args[0]] if args else (0,) * size
-            for a in args[1:]:
-                index = [j * size + x for j, x in zip(index, values[a])]
-            table = tables[t.op]
-            col = [table[j] for j in index]
-            if args and col.count(col[0]) == size:
-                nodes[i] = (Const(col[0]), ())
-                v = 0
-        reads.append(v)
-        values.append(col)
-    return nodes
 
 
 def _evaluator(alg: FiniteAlgebra, planned):
     """The function from a chunk X of the columns cols of planned, the
     system's _plan, to each row's f (s if the row fails no equation): it
     gathers over the reached nodes of planned, each once, each equation
-    on the rows that satisfied those before it, each column freed after use."""
+    on the rows that satisfied those before it, and drops each value at
+    its last reader, so a chunk holds the walk's frontier, not the term."""
     dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
     nodes, plan, frees, cols = planned
@@ -299,7 +289,7 @@ def _evaluator(alg: FiniteAlgebra, planned):
         # sel picks the rows of X still satisfied: all of them, then the
         # row ids the first equation keeps, then those the next ones keep
         live, sel, values = len(X), slice(None), {}
-        for k, (lhs, rhs, _, todo, end) in enumerate(plan):
+        for k, (lhs, rhs, _, todo) in enumerate(plan):
             for i in todo:
                 t, args = nodes[i]
                 if isinstance(t, Var):
@@ -311,10 +301,10 @@ def _evaluator(alg: FiniteAlgebra, planned):
                     values[i] = tables[t.op].take(index)
                 else:
                     values[i] = np.full(live, tables[t.op][0], dtype)
-                for a in frees.get(i + k, ()):
+                for a in frees.get(i, ()):
                     del values[a]
             keep = values[lhs] == values[rhs]
-            for a in frees.get(end + k, ()):
+            for a in frees.get(~k, ()):
                 del values[a]
             sel = keep.nonzero()[0] if k == 0 else sel[keep]
             f[sel] = k + 1

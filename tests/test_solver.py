@@ -194,6 +194,55 @@ def test_chunks_are_capped_by_the_cells_of_their_own_columns(monkeypatch, z2):
     assert out.stats == solver.SolveStats(total, 48 * total)
 
 
+@pytest.mark.parametrize("bound", range(4))
+def test_one_element_carrier_is_solved_in_layer_0(monkeypatch, bound):
+    # every term is 0 over one element, so layer 0's all-zero row solves
+    # the system and the scan never draws a layer that holds no rows
+    import supersolve.solver as solver
+    from supersolve.algebra import FiniteAlgebra, OperationTable
+
+    alg = FiniteAlgebra("one", 1, (OperationTable("m", 2, (0,)), OperationTable("c", 0, (0,))))
+    system = parse_system("m(x1, c()) = x2\nm(x2, m(x3, x1)) = c()")
+    weight_chunks, drawn = solver._weight_chunks, []
+
+    def spy(*args):
+        for w, chunks in weight_chunks(*args):
+            drawn.append(w)
+            yield w, chunks
+
+    monkeypatch.setattr(solver, "_weight_chunks", spy)
+    out = solve_bounded(alg, system, bound=bound)
+    ref, tested, nodes = _reference_scan(alg, system, enumerate_bounded_weight(3, bound, 1))
+    assert out.verdict == SolutionFound((0, 0, 0), verified=True) and ref == (0, 0, 0)
+    assert out.stats == solver.SolveStats(tested, nodes) and tested == 1
+    assert drawn == [0]
+
+
+def test_evaluator_drops_each_value_at_its_last_reader(z4):
+    # x1 + x2 + ... + x8 + x1 + ... over 2,000 leaves: its 1,999 partial
+    # sums would take 125 MiB of a 65,536-row chunk if all were kept until
+    # the comparison, while the walk's frontier takes under 1 MiB
+    import tracemalloc
+
+    import supersolve.solver as solver
+
+    text = "x1"
+    for i in range(1, 2000):
+        text = f"add({text}, x{i % 8 + 1})"
+    planned = solver._plan(z4, parse_system(text + " = #1"))
+    X = next(solver._lex_chunks(8, 4, planned[3]))
+    failures = solver._evaluator(z4, planned)
+    assert len(X) == 65536
+    tracemalloc.start()
+    try:
+        f = failures(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert not f.any()  # each variable is read 250 times: the sum is even
+
+
 def test_support_batches_match_combinations():
     import time
 
@@ -788,7 +837,8 @@ def test_folded_variables_alone_decide_every_equation(group_fixtures, lattice, d
 
 def _assert_layout(alg, system, fold):
     """_plan's layout of system: each reached node computed once, after its
-    arguments, and freed at its last use; see the test below."""
+    arguments, and freed at its last reader (a node id, or ~k for equation
+    k's comparison); see the test below."""
     import supersolve.solver as solver
 
     table = system.table
@@ -804,18 +854,18 @@ def _assert_layout(alg, system, fold):
             reached.add(i)
             stack.extend(() if i in folded else table.nodes[i][1])
     order, computed, uses = [], set(), {}
-    for k, (lhs, rhs, cost, todo, end) in enumerate(plan):
+    for k, (lhs, rhs, cost, todo) in enumerate(plan):
         assert (lhs, rhs) == table.roots[2 * k : 2 * k + 2]
         assert cost == sum(map(term_length, system.equations[k]))
         for i in todo:
-            assert i < end and set(nodes[i][1]) <= computed
+            assert i <= max(lhs, rhs) and set(nodes[i][1]) <= computed
             computed.add(i)
-            uses.update((a, i + k) for a in nodes[i][1])
+            uses.update((a, i) for a in nodes[i][1])
         assert {lhs, rhs} <= computed
-        uses[lhs] = uses[rhs] = end + k
+        uses[lhs] = uses[rhs] = ~k
         order += todo
     assert order == sorted(set(order))  # ascending, and disjoint across equations
-    assert sorted((a, step) for step, ids in frees.items() for a in ids) == sorted(uses.items())
+    assert sorted((a, reader) for reader, ids in frees.items() for a in ids) == sorted(uses.items())
     assert set(uses) == computed
     assert computed == (reached if fold else set(range(len(table.nodes))))
     assert cols == sorted(nodes[i][0].index - 1 for i in computed if isinstance(nodes[i][0], Var))
