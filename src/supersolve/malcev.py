@@ -1,12 +1,12 @@
 """Search the ternary term clone of a finite algebra for a Mal'cev operation.
 
 The closure runs over function tables, not terms: starting from the three
-projections (plus every constant, when polynomial rather than term
-operations are wanted), fundamental operations are applied pointwise and
-new tables are queued breadth-first, in batches of argument tuples over
-tables held in algebra.carrier_dtype, as the solver's are.  Each table
-remembers the first term that produced it, so returned witnesses are
-minimal in BFS layer count.
+projections (plus every constant, when polynomial rather than term operations
+are wanted), fundamental operations are applied pointwise and new tables are
+queued breadth-first, in batches of argument tuples over tables held in
+algebra.carrier_dtype, as the solver's are; a nullary operation's one batch,
+the empty tuple, comes in round 0 only.  Each table remembers the first term
+that produced it, so returned witnesses are minimal in BFS layer count.
 The table space is finite, hence exhaustion proves nonexistence; a cap on
 the tables (DEFAULT_CAP, also the command line's default) bounds runaway
 closures and is reported as incompleteness, not an error.  _clone streams
@@ -60,15 +60,15 @@ def is_malcev(t: TernaryFunctionTable) -> bool:
 def _arg_tuples(snapshot: int, arity: int, lo: int, rows: int):
     """The argument index tuples over range(snapshot) that touch
     range(lo, snapshot), in product order: (k, arity) intp batches, each
-    filtered from a run of at most rows consecutive product ranks.
-
-    The ranks are Python ints handed to digits as ranges, so
-    snapshot**arity may pass int64.
+    filtered from a run of at most rows consecutive product ranks.  The
+    empty tuple of arity 0 counts as touching 0, so a nullary operation
+    joins round 0 only, at its place.  The ranks are Python ints handed to
+    digits as ranges, so snapshot**arity may pass int64.
     """
     total = snapshot**arity
     for start in range(0, total, rows):
         combos = digits(start, min(start + rows, total), snapshot, arity, np.intp)
-        combos = combos[combos.max(axis=1) >= lo]
+        combos = combos[combos.max(axis=1, initial=0) >= lo]
         if len(combos):
             yield combos
 
@@ -79,13 +79,13 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
 
     The seeds (the projections, then the constants when include_constants)
     all come out before the cap is first checked; after them the stream ends
-    once cap tables are out, or when a round adds nothing.  Tables are
-    appended in BFS order, so the current layer is always tables[lo:snapshot],
-    the tables added by the previous round.  Each batch of argument tuples is
-    applied in numpy; its result rows are then taken in order, as byte slices
-    of one buffer, and only a row not seen before builds its witness.  A
-    table is a view of its key, so its values are stored once, for the seen
-    set and the table list alike.
+    once cap tables are out, or when a round adds nothing.  The current layer
+    is tables[lo:snapshot], the tables added by the previous round.  Each
+    batch of argument tuples is applied in numpy (a nullary operation's one
+    empty tuple, in round 0, gives its value broadcast), and its result rows
+    are taken in order, as byte slices of one buffer; only a row not seen
+    before builds its witness.  A table is a view of its key, so its values
+    are stored once, for the seen set and the table list alike.
     """
     if cap < 3:
         raise ValueError(f"cap must be >= 3, got {cap}")
@@ -104,13 +104,10 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
         witnesses.append(witness)
         return tables[-1], witness
 
-    def constant(c: int) -> bytes:
-        return np.full(length, c, dtype=dtype).tobytes()
-
     projections = np.indices((size,) * 3, dtype).reshape(3, length)
     seeds = [(column.tobytes(), Var(i + 1)) for i, column in enumerate(projections)]
     if include_constants:
-        seeds += [(constant(c), Const(c)) for c in range(size)]
+        seeds += [(np.full(length, c, dtype).tobytes(), Const(c)) for c in range(size)]
     for key, witness in seeds:
         if key not in seen:
             yield add(key, witness)
@@ -124,16 +121,12 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
         snapshot = len(tables)
         stacked = np.stack(tables)
         for op, op_array in zip(alg.operations, op_arrays):
-            if op.arity == 0:
-                # a nullary operation joins in round 0, at its place in the order
-                if lo == 0 and (key := constant(op.table[0])) not in seen:
-                    yield add(key, App(op.name, ()))
-                    if len(tables) >= cap:
-                        return
-                continue
             for combos in _arg_tuples(snapshot, op.arity, lo, rows):
-                flat = table_index([stacked.take(c, axis=0) for c in combos.T], size)
-                buf = op_array.take(flat).tobytes()
+                buf = (
+                    op_array.take(table_index([stacked.take(c, axis=0) for c in combos.T], size))
+                    if op.arity
+                    else np.broadcast_to(op_array, (1, length))
+                ).tobytes()
                 for j in range(len(combos)):
                     key = buf[j * width : (j + 1) * width]
                     if key in seen:

@@ -179,15 +179,14 @@ def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
 
     def layer(weight, block):
         per, step = max(1, rows // block), min(block, rows)
-        supports, vals = combinations(range(m), weight), None
+        supports = combinations(range(m), weight)
         while batch := list(islice(supports, per)):
             S = np.fromiter(chain.from_iterable(batch), np.intp, len(batch) * weight)
             S = S.reshape(len(batch), weight)
             where = S, np.arange(len(S))[:, None]
             for start in range(0, block, step):
-                if vals is None or step < block:
-                    vals = digits(start, min(start + step, block), base, weight, dtype)
-                    vals += vals >= z
+                vals = digits(start, min(start + step, block), base, weight, dtype)
+                vals += vals >= z
                 X = np.full((m, len(S), len(vals)), z, dtype=dtype)
                 X[where] = vals.T
                 yield X.reshape(m, len(S) * len(vals)).T
@@ -407,7 +406,10 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
 def _found(alg, system, cols, base: int, row) -> SolutionFound:
     """row's values at the coordinates cols and base at every other one,
     re-checked independently through the plain evaluator."""
-    a = [base] * system.n
+    try:
+        a = [base] * system.n
+    except (MemoryError, OverflowError):
+        raise ValueError(f"cannot build an assignment of n = {system.n} variables") from None
     for c, v in zip(cols, row.tolist()):
         a[c] = v
     if not all(eval_term(alg, lhs, a) == eval_term(alg, rhs, a) for lhs, rhs in system.equations):

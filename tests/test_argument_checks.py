@@ -1,6 +1,7 @@
 """Argument checks and rarely taken exits, one case each: the library's
-guards against out-of-range arguments, the closure's cap met right after a
-nullary operation, and the human text of `absorb`."""
+guards against out-of-range arguments, a solution whose n-coordinate
+assignment cannot be built, the closure's cap met right after a nullary
+operation, and the human text of `absorb`."""
 
 import pytest
 
@@ -10,11 +11,15 @@ from supersolve.algebra import AlgebraError, FiniteAlgebra, OperationTable
 from supersolve.bounds import k_factor, loose_weight_bound, make_bound_report
 from supersolve.groups import cyclic_group
 from supersolve.malcev import MalcevNotFound, find_malcev, ternary_term_clone
-from supersolve.solver import enumerate_bounded_weight, normalize_system
+from supersolve.solver import enumerate_bounded_weight, normalize_system, solve_bounded
 from supersolve.terms import App, parse_system
 from supersolve.witness import SubsetFunction, redweight_find_u
 
 _AND = TabulatedFunction(2, 2, 2, (0, 0, 0, 1))
+
+
+def _solve_z2(text):
+    return solve_bounded(cyclic_group(2), parse_system(text))
 
 
 def _normalize(z):
@@ -54,11 +59,24 @@ def _normalize(z):
         (lambda: k_factor(0, 2, 1), ValueError, "mu and alpha must be >= 1"),
         (lambda: loose_weight_bound(0, 2, 4), ValueError, "s and mu must be >= 1"),
         (lambda: loose_weight_bound(1, 0, 4), ValueError, "s and mu must be >= 1"),
+        (lambda: loose_weight_bound(1, 2, 0), ValueError, "cardinality must be >= 1, got 0"),
         (lambda: make_bound_report(0, 2, 4), ValueError, "s must be >= 1, got 0"),
         (
             lambda: make_bound_report(1, 0, 4),
             ValueError,
             "mu (the largest operation arity) must be >= 1, got 0",
+        ),
+        # satisfiable, but the n-coordinate assignment passes an index-sized
+        # int, or needs more memory than any address space holds
+        (
+            lambda: _solve_z2("add(x10000000000000000000, x1) = add(x1, x10000000000000000000)"),
+            ValueError,
+            "cannot build an assignment of n = 10000000000000000000 variables",
+        ),
+        (
+            lambda: _solve_z2("x1000000000000000 = #1"),
+            ValueError,
+            "cannot build an assignment of n = 1000000000000000 variables",
         ),
     ],
 )

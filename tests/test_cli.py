@@ -775,6 +775,30 @@ def test_cli_import_leaves_out_mpmath():
 
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "add(x10000000000000000000, x1) = add(x1, x10000000000000000000)\n",
+        "x1000000000000000 = #1\n",
+    ],
+    ids=["past-index-size", "past-memory"],
+)
+def test_solve_with_an_unbuildable_assignment_is_input_error(tmp_path, z2_file, text):
+    # satisfiable at low weight, but no list of n coordinates can be built
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    sys_path = _system_file(tmp_path, text)
+    result = subprocess.run(
+        [sys.executable, "-m", "supersolve", "solve", "--algebra", z2_file, "--system", sys_path],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: cannot build an assignment of n = ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 def test_bound_negative_n_rejected(capsys, z4_file):
     assert run_cli(capsys, ["bound", "--algebra", z4_file, "-n", "-5"]) == (
         2, "", "error: n must be >= 0, got -5\n"

@@ -260,6 +260,10 @@ def _higher_arity_algebras():
         # a Mal'cev table is the 45th
         algebra("maj4", 2, ("q", 4, lambda w, x, y, z: int(w + x + y + z >= 2) ^ (w & z))),
         algebra("mixed2", 2, ("neg", 1, lambda x: 1 - x), ("q", 4, lambda w, x, y, z: (w & x) ^ (y | z))),
+        # nullary operations on both sides of a binary one: a() joins round 0
+        # before f's tables unless it equals the seed #1, and b() = a() never joins
+        algebra("nullary3", 3, ("a", 0, lambda: 1), ("f", 2, lambda x, y: (x + 2 * y) % 3),
+                ("b", 0, lambda: 1)),
     ]
 
 
@@ -283,11 +287,14 @@ def test_closure_matches_reference_at_higher_arity(alg, constants, cap):
 
 @pytest.mark.parametrize("snapshot, arity, lo, rows", [
     (7, 3, 0, 10), (7, 3, 4, 1), (7, 3, 6, 64), (5, 4, 3, 17), (6, 1, 2, 4), (3, 2, 0, 1000),
+    (5, 0, 0, 10), (5, 0, 3, 10),
 ])
 def test_arg_tuples_are_the_filtered_product(snapshot, arity, lo, rows):
     batches = list(_arg_tuples(snapshot, arity, lo, rows))
     assert all(b.dtype == np.intp and 0 < len(b) <= rows for b in batches)
-    expected = [c for c in itertools.product(range(snapshot), repeat=arity) if max(c) >= lo]
+    # over arity 0 the one empty tuple counts as touching 0: kept only when lo == 0
+    product = itertools.product(range(snapshot), repeat=arity)
+    expected = [c for c in product if max(c, default=0) >= lo]
     assert [tuple(c) for b in batches for c in b.tolist()] == expected
 
 
