@@ -11,8 +11,8 @@ absorbing element is fixed as index 0 of the domain; relabel before
 tabulating if another element should absorb.
 
 decompose computes every component by one transform; a single one is
-decompose(f).components[mask].  component_moebius and is_absorbing_in are
-independent of it, the oracles its tests check it against.
+decompose(f).components[mask].  Its tests check it against oracles that
+compute from the definition, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -66,21 +66,6 @@ def restrict_vector(a, mask: int) -> tuple[int, ...]:
 
 def mask_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _submasks(mask: int):
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def _check_mask(f: TabulatedFunction, mask: int):
-    if mask < 0 or mask >> f.arity:
-        raise ValueError(f"mask {mask} names coordinates beyond arity {f.arity}")
 
 
 def _tensor(f: TabulatedFunction) -> np.ndarray:
@@ -152,18 +137,6 @@ def decompose(
     })
 
 
-def component_moebius(f: TabulatedFunction, mask: int, a) -> int:
-    """Alternating-sum value of the I-component at one point:
-    sum over J <= I of (-1)**(|I| + |J|) * f(a restricted to J), mod p."""
-    _check_mask(f, mask)
-    total = 0
-    bits = mask.bit_count()
-    for sub in _submasks(mask):
-        sign = -1 if (bits + sub.bit_count()) % 2 else 1
-        total += sign * f(restrict_vector(a, sub))
-    return total % f.prime
-
-
 def absorbing_degree(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> int:
@@ -173,17 +146,3 @@ def absorbing_degree(
     _check_budget(f, max_points)
     nonzero = np.flatnonzero(_transform(f).any(axis=1)).tolist()
     return max((mask.bit_count() for mask in nonzero), default=-1)
-
-
-def is_absorbing_in(f: TabulatedFunction, mask: int) -> bool:
-    """True iff f depends only on coordinates in the mask and vanishes
-    whenever some masked coordinate is 0."""
-    _check_mask(f, mask)
-    t = _tensor(f)
-    for j in range(f.arity):
-        if mask >> j & 1:
-            if t.take(0, axis=j).any():
-                return False
-        elif not (t == t.take([0], axis=j)).all():
-            return False
-    return True

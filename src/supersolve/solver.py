@@ -49,23 +49,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
 from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_index
 from .bounds import make_bound_report
-from .malcev import TernaryFunctionTable, is_malcev
-from .terms import (
-    Const,
-    EquationSystem,
-    Term,
-    Var,
-    check_node,
-    eval_term,
-    substitute,
-)
+from .terms import Const, EquationSystem, Var, check_node, eval_term
 
 _CHUNK = 1 << 16
 
@@ -121,24 +112,6 @@ class BenchResult:
 def bounded_weight_count(n: int, w: int, size: int) -> int:
     """Number of assignments with at most min(w, n) non-z coordinates."""
     return sum(comb(n, i) * (size - 1) ** i for i in range(min(w, n) + 1))
-
-
-def enumerate_bounded_weight(n: int, w: int, size: int, z: int = 0):
-    """Assignments with <= min(w, n) coordinates differing from z, in
-    canonical order: weight ascending, support lexicographic, values
-    lexicographic over the non-z elements in ascending order."""
-    if w < 0:
-        raise ValueError(f"weight cap must be >= 0, got {w}")
-    if not 0 <= z < size:
-        raise ValueError(f"base element {z} out of range [0, {size})")
-    nonz = [v for v in range(size) if v != z]
-    for weight in range(min(w, n) + 1):
-        for support in combinations(range(n), weight):
-            for values in product(nonz, repeat=weight):
-                a = [z] * n
-                for pos, v in zip(support, values):
-                    a[pos] = v
-                yield tuple(a)
 
 
 # ---------------------------------------------------------------------------
@@ -455,24 +428,6 @@ def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
         tested += len(X)
         evaluated += _cost(f, plan)
     return SolveOutcome(NoSolutionExhaustive(), SolveStats(tested, evaluated))
-
-
-def normalize_system(
-    alg: FiniteAlgebra,
-    system: EquationSystem,
-    d: TernaryFunctionTable,
-    z: int = 0,
-) -> list[Term]:
-    """Rewrite each equation f = g as one term h = d(f, g, z) whose value-z
-    set equals the equation's solution set (d must be Mal'cev)."""
-    if not is_malcev(d):
-        raise ValueError("normalization requires a Mal'cev table")
-    if not 0 <= z < alg.size:
-        raise ValueError(f"base element {z} out of range [0, {alg.size})")
-    out = []
-    for lhs, rhs in system.equations:
-        out.append(substitute(d.witness, {1: lhs, 2: rhs, 3: Const(z)}))
-    return out
 
 
 def bench(alg: FiniteAlgebra, system: EquationSystem, z: int = 0) -> BenchResult:

@@ -298,17 +298,6 @@ def term_length(t: Term) -> int:
     return fold([t], lambda u, args: 1 + sum(args))[0]
 
 
-def substitute(t: Term, mapping: dict[int, Term]) -> Term:
-    """Replace each variable index in `mapping` by the given term."""
-
-    def visit(u: Term, args: list[Term]) -> Term:
-        if isinstance(u, Var):
-            return mapping.get(u.index, u)
-        return App(u.op, tuple(args)) if isinstance(u, App) else u
-
-    return fold([t], visit)[0]
-
-
 def check_system(alg: FiniteAlgebra, system: EquationSystem) -> None:
     """Static validation: check_node once per distinct node, in node table
     order, so the first faulty node of the trees' post-order raises."""

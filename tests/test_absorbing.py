@@ -9,13 +9,13 @@ from supersolve.absorbing import (
     TableBudgetError,
     TabulatedFunction,
     absorbing_degree,
-    component_moebius,
     decompose,
-    is_absorbing_in,
     mask_indices,
     restrict_vector,
 )
 from supersolve.algebra import table_index
+
+from oracles import component_moebius, is_absorbing_in
 
 AND = TabulatedFunction(2, 2, 2, (0, 0, 0, 1))
 XOR = TabulatedFunction(2, 2, 2, (0, 1, 1, 0))

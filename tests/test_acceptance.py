@@ -10,9 +10,7 @@ import time
 from supersolve.absorbing import (
     TabulatedFunction,
     absorbing_degree,
-    component_moebius,
     decompose,
-    is_absorbing_in,
     restrict_vector,
 )
 from supersolve.algebra import apply_op
@@ -22,6 +20,7 @@ from supersolve.solver import bench, solve_bounded, solve_brute
 from supersolve.terms import eval_term, parse_system
 from supersolve.witness import SubsetFunction, ks_find_u, redweight_find_u
 
+from oracles import component_moebius, is_absorbing_in
 from sampling import random_system
 
 

@@ -11,9 +11,11 @@ from supersolve.algebra import AlgebraError, FiniteAlgebra, OperationTable
 from supersolve.bounds import k_factor, loose_weight_bound, make_bound_report
 from supersolve.groups import cyclic_group
 from supersolve.malcev import MalcevNotFound, find_malcev, ternary_term_clone
-from supersolve.solver import enumerate_bounded_weight, normalize_system, solve_bounded
+from supersolve.solver import solve_bounded
 from supersolve.terms import App, parse_system
 from supersolve.witness import SubsetFunction, redweight_find_u
+
+from oracles import enumerate_bounded_weight, normalize_system
 
 _AND = TabulatedFunction(2, 2, 2, (0, 0, 0, 1))
 

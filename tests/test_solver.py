@@ -16,8 +16,6 @@ from supersolve.solver import (
     SolutionFound,
     bench,
     bounded_weight_count,
-    enumerate_bounded_weight,
-    normalize_system,
     solve_bounded,
     solve_brute,
 )
@@ -33,6 +31,7 @@ from supersolve.terms import (
     term_length,
 )
 
+from oracles import enumerate_bounded_weight, normalize_system
 from sampling import random_system
 
 

@@ -19,10 +19,10 @@ from supersolve.terms import (
     format_term,
     parse_system,
     parse_term,
-    substitute,
     term_length,
 )
 
+from oracles import substitute
 from sampling import random_system, random_term
 
 
