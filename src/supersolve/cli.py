@@ -76,9 +76,10 @@ _VERDICT_KINDS = {
 def _verdict_doc(outcome: SolveOutcome) -> dict:
     v = outcome.verdict
     return {
-        # vars, not asdict: asdict would deep-copy the assignment, about 40 us a solve
+        # vars, not asdict: asdict would deep-copy the assignment, about 40 us
+        # a solve, and costs about 2 us on the stats where vars costs 0.2 us
         "verdict": {"kind": _VERDICT_KINDS[type(v)], **vars(v)},
-        "stats": asdict(outcome.stats),
+        "stats": dict(vars(outcome.stats)),
     }
 
 

@@ -36,10 +36,10 @@ the base value (z, or 0 for brute) outside the scanned columns and is
 re-verified through the plain evaluator on the original terms.  Brute
 counts nothing: it evaluates every row of A^n, restricted to V's
 columns.  Chunks of both scans are capped by cells of the columns they
-hold as well as by rows, and carried in algebra.carrier_dtype, so that
-table_index gathers narrow too: algebra.digits builds a chunk's rows,
-or a layer's value tuples, from a contiguous range of ranks, each column
-from its period, with no row-length int64 array.
+hold as well as by rows, and a bounded chunk may span weight layers, so
+a small scan is one evaluator call.  algebra.digits builds their rows in
+algebra.carrier_dtype, for narrow table_index gathers, from a range of
+ranks, each column from its period, with no row-length int64 array.
 Reported statistics are exact sequential-scan equivalents: candidates
 tested until the verdict, and tree nodes evaluated, where a candidate
 evaluates equations left to right and stops at the first mismatch.
@@ -133,39 +133,49 @@ def _lex_chunks(n: int, size: int, cols, chunk: int = _CHUNK):
 
 def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
     """The canonical bounded-weight order of the rows whose support lies
-    inside cols, as one (weight, chunks) pair per layer 0..min(w, len(cols)),
-    where chunks lazily yields the layer's rows in blocks of cols's columns.
+    inside cols, layers 0..min(w, len(cols)), lazily yielded as column-major
+    chunks of cols's columns, each with its layer spans [(weight, rows), ...].
 
-    Each chunk holds `per` consecutive support sets of one weight times
-    `step` consecutive value tuples, lexicographic over the non-z elements:
-    whole supports when a support's value block fits in a chunk, otherwise
-    one support and a slice of its values.  Chunks are column-major, so the
-    evaluator reads each variable's column contiguously.  The supports come
-    from combinations over cols's positions, `per` at a time, so a scan
-    that stops early never draws the rest of a layer.  Over a one-element
-    carrier the layers above 0 hold no rows and must not be drawn: every
-    term is 0 there, so layer 0's only row solves the system.
+    A piece holds `per` consecutive support sets of one weight, drawn from
+    combinations over cols's positions, times `step` consecutive value
+    tuples, lexicographic over the non-z elements: whole supports when a
+    support's value block fits in a chunk, otherwise one support and a
+    slice of its values.  A chunk holds consecutive pieces, one a layer at
+    most, since a full piece leaves no room for its layer's next, and is
+    cut only when the next piece would not fit; a piece is sized before it
+    is built, so a scan that stops early builds no rows past its chunk.
+    Over a one-element carrier the layers above 0 hold no rows and must not
+    be drawn: every term is 0 there, so layer 0's only row solves any system.
     """
-    base, m = size - 1, len(cols)
-    dtype = carrier_dtype(size)
+    base, m, dtype = size - 1, len(cols), carrier_dtype(size)
     rows = _chunk_rows(m, chunk)
 
-    def layer(weight, block):
+    def build(pieces, fill):
+        X, at = np.full((m, fill), z, dtype=dtype), 0
+        for weight, batch, start, stop in pieces:
+            S = np.fromiter(chain.from_iterable(batch), np.intp, len(batch) * weight)
+            vals = digits(start, stop, base, weight, dtype)
+            vals += vals >= z
+            end = at + len(batch) * len(vals)
+            piece = X[:, at:end].reshape(m, len(batch), len(vals))  # a view
+            piece[S.reshape(len(batch), weight), np.arange(len(batch))[:, None]] = vals.T
+            at = end
+        return X.T, [(k, len(b) * (e - s)) for k, b, s, e in pieces]
+
+    pieces, fill = [], 0
+    for weight in range(min(w, m if base else 0) + 1):
+        block = base**weight
         per, step = max(1, rows // block), min(block, rows)
         supports = combinations(range(m), weight)
         while batch := list(islice(supports, per)):
-            S = np.fromiter(chain.from_iterable(batch), np.intp, len(batch) * weight)
-            S = S.reshape(len(batch), weight)
-            where = S, np.arange(len(S))[:, None]
             for start in range(0, block, step):
-                vals = digits(start, min(start + step, block), base, weight, dtype)
-                vals += vals >= z
-                X = np.full((m, len(S), len(vals)), z, dtype=dtype)
-                X[where] = vals.T
-                yield X.reshape(m, len(S) * len(vals)).T
-
-    for weight in range(min(w, m) + 1):
-        yield weight, layer(weight, base**weight)
+                stop = min(start + step, block)
+                if fill + len(batch) * (stop - start) > rows:
+                    yield build(pieces, fill)
+                    pieces, fill = [], 0
+                pieces.append((weight, batch, start, stop))
+                fill += len(batch) * (stop - start)
+    yield build(pieces, fill)
 
 
 def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
@@ -351,7 +361,7 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
     """
     failures, plan, cols = _evaluator(alg, planned), planned[1], planned[3]
     s, n, m, q = len(plan), system.n, len(cols), alg.size - 1
-    fs = []  # per layer k <= m: the f of its rows over V, in chunks
+    fs = [[] for _ in range(min(bound, m) + 1)]  # per layer: the f of its rows over V, in parts
 
     def counted(top):
         """The candidates and tree nodes of layers 0..top, which hold no solution."""
@@ -360,19 +370,19 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
         nodes = sum(comb(n - m, w - k) * q ** (w - k) * t for w, k, t in layers)
         return bounded_weight_count(n, top, alg.size), nodes
 
-    for w, chunks in _weight_chunks(bound, alg.size, z, cols, _CHUNK):
-        fs.append([])
-        for X in chunks:
-            f = failures(X)
-            j = int(f.argmax())
-            if f[j] == s:
-                S, done = np.flatnonzero(X[j] != z).tolist(), sum(map(len, fs[w])) + j
+    for X, spans in _weight_chunks(bound, alg.size, z, cols, _CHUNK):
+        f, at = failures(X), 0
+        j = int(f.argmax())  # the first solution, if f[j] == s
+        for w, rows in spans:
+            if f[j] == s and j < at + rows:
+                S, done = np.flatnonzero(X[j] != z).tolist(), sum(map(len, fs[w])) + j - at
                 tested, evaluated = counted(w - 1)
                 tested += _rank([cols[i] for i in S], n) * q**w + done % q**w + 1
-                evaluated += sum(_cost(g, plan) for g in fs[w]) + _cost(f[: j + 1], plan)
+                evaluated += sum(_cost(g, plan) for g in fs[w]) + _cost(f[at : j + 1], plan)
                 evaluated += _nodes_before(fs[:w], S, cols, n, q, plan)
                 return _found(alg, system, cols, z, X[j]), SolveStats(tested, evaluated)
-            fs[w].append(f)
+            fs[w].append(f[at : at + rows])
+            at += rows
     return None, SolveStats(*counted(min(bound, n)))
 
 

@@ -71,9 +71,21 @@ def test_enumeration_counts():
             assert len(stream) == bounded_weight_count(12, w, size)
 
 
-def _flat(layers):
-    """The chunks of _weight_chunks's (weight, chunks) layers, in order."""
-    return (X for _, chunks in layers for X in chunks)
+def _flat(chunks):
+    """The chunks of _weight_chunks's (chunk, spans) pairs, in order."""
+    return (X for X, _ in chunks)
+
+
+def _layer_parts(chunks, weight):
+    """The parts of _weight_chunks's chunks that its spans give to one layer."""
+    parts = []
+    for X, spans in chunks:
+        at = 0
+        for k, rows in spans:
+            if k == weight:
+                parts.append(X[at : at + rows])
+            at += rows
+    return parts
 
 
 def test_vectorized_chunks_match_generator_order():
@@ -95,7 +107,7 @@ def test_vectorized_chunks_match_generator_order():
         assert chunked == list(itertools.product(range(size), repeat=n))
         assert all(X.dtype == np.uint8 for X in _lex_chunks(n, size, cols=range(n), chunk=5))
     # chunk=64 packs whole supports with a remainder (36 weight-2 supports,
-    # 14 per chunk); at n=40 the cell cap binds (8 * 64 // 40 = 12 rows)
+    # 14 per piece); at n=40 the cell cap binds (8 * 64 // 40 = 12 rows)
     for n, w, size, z, chunk in [(9, 3, 3, 1, 64), (40, 2, 2, 0, 64), (6, 4, 3, 0, 1)]:
         chunks = list(_flat(_weight_chunks(w, size, z, cols=range(n), chunk=chunk)))
         assert all(X.dtype == np.uint8 for X in chunks)
@@ -111,6 +123,8 @@ def test_vectorized_chunks_match_generator_order():
 
 
 def test_projected_chunks_keep_rows_and_boundaries():
+    from math import comb
+
     from supersolve.solver import _chunk_rows, _lex_chunks, _weight_chunks
 
     # the bounded chunks hold, in canonical order, the rows whose support
@@ -123,9 +137,16 @@ def test_projected_chunks_keep_rows_and_boundaries():
     ]:
         for cols in [[], [n - 1], sorted(rng.sample(range(n), n // 2))]:
             cols = sorted({c for c in cols if 0 <= c < n})
-            layers = [(k, list(chunks)) for k, chunks in _weight_chunks(w, size, z, cols, chunk)]
-            assert [k for k, _ in layers] == list(range(min(w, len(cols)) + 1))
-            part = [X for _, chunks in layers for X in chunks]
+            chunks = list(_weight_chunks(w, size, z, cols, chunk))
+            spans = [span for _, spans in chunks for span in spans]
+            assert [k for k, _ in spans] == sorted(k for k, _ in spans)
+            assert sorted({k for k, _ in spans}) == list(range(min(w, len(cols)) + 1))
+            assert all(rows > 0 for _, rows in spans)
+            assert all(sum(rows for _, rows in spans) == len(X) for X, spans in chunks)
+            for k in range(min(w, len(cols)) + 1):
+                total = sum(rows for j, rows in spans if j == k)
+                assert total == comb(len(cols), k) * (size - 1) ** k
+            part = [X for X, _ in chunks]
             assert all(0 < len(X) <= _chunk_rows(len(cols), chunk) for X in part)
             assert all(X.shape[1] == len(cols) and X.flags.f_contiguous for X in part)
             rows = [tuple(int(v) for v in row) for X in part for row in X]
@@ -169,28 +190,105 @@ def test_lex_chunk_allocates_about_its_own_size():
 
 def test_chunks_are_capped_by_the_cells_of_their_own_columns(monkeypatch, z2):
     # over Z2, with t = x1 + ... + x11 + x1000000, add(t, t) = #1 scans 12
-    # columns: each of the layers 0..6 fits in one chunk, where a cap of
-    # 8 * 65536 cells over all 10**6 coordinates would leave one row a chunk
+    # columns: the layers 0..6 fit in one chunk, where a cap of 8 * 65536
+    # cells over all 10**6 coordinates would leave one row a chunk
     import functools
     from math import comb
 
     import supersolve.solver as solver
 
     t = functools.reduce(lambda t, i: f"add({t}, x{i})", [*range(2, 12), 10**6], "x1")
-    weight_chunks, layers = solver._weight_chunks, []
+    weight_chunks, chunks = solver._weight_chunks, []
 
     def spy(*args):
-        for w, chunks in weight_chunks(*args):
-            chunks = list(chunks)
-            layers.append([len(X) for X in chunks])
-            yield w, iter(chunks)
+        for X, spans in weight_chunks(*args):
+            chunks.append((len(X), spans))
+            yield X, spans
 
     monkeypatch.setattr(solver, "_weight_chunks", spy)
     out = solve_bounded(z2, parse_system(f"add({t}, {t}) = #1"), bound=6)
-    assert layers == [[comb(12, w)] for w in range(7)]
+    assert chunks == [(2510, [(w, comb(12, w)) for w in range(7)])]
+    assert sum(comb(12, w) for w in range(7)) == 2510
     total = sum(comb(10**6, i) for i in range(7))
     assert out.verdict == NoSolutionInBoundedSet(bound=6)
     assert out.stats == solver.SolveStats(total, 48 * total)
+
+
+def test_a_small_scan_is_one_evaluator_call(monkeypatch, z3, z4):
+    # the layers of a scan over a few columns share one chunk, so the
+    # evaluator runs once a solve: over Z3, t + t + t = #1 with t reading
+    # x5, x11 and x24, and over Z4 a weight-2 system planted on x7 and x13
+    # whose cancelling pairs fold away
+    import supersolve.solver as solver
+
+    evaluator, calls = solver._evaluator, []
+
+    def counting(alg, planned):
+        failures = evaluator(alg, planned)
+
+        def counted(X):
+            calls.append(len(X))
+            return failures(X)
+
+        return counted
+
+    monkeypatch.setattr(solver, "_evaluator", counting)
+    t = "add(add(x5, neg(x11)), x24)"
+    out = solve_bounded(z3, parse_system(f"add(add({t}, {t}), {t}) = #1"))
+    assert out.verdict == NoSolutionInBoundedSet(bound=2)
+    assert out.stats.candidates_tested == bounded_weight_count(24, 2, 3)
+    assert calls == [1 + 3 * 2 + 3 * 4]
+    calls.clear()
+    system = parse_system(
+        "add(add(x7, add(neg(x20), x20)), add(x13, #1)) = #2\n"
+        "add(add(x13, add(x4, neg(x4))), #2) = #1"
+    )
+    out = solve_bounded(z4, system)
+    planted = [0] * 20
+    planted[6], planted[12] = 2, 3
+    assert out.verdict == SolutionFound(tuple(planted), verified=True)
+    assert calls == [1 + 2 * 3 + 9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chunks_pack_consecutive_pieces(data):
+    # a piece is `per` supports of one layer times `step` of their values;
+    # the chunks are runs of consecutive pieces, cut only where the next
+    # piece would not fit, and their spans give each layer its rows
+    from math import comb
+
+    from supersolve.solver import _chunk_rows, _weight_chunks
+
+    m, size = data.draw(st.integers(0, 10)), data.draw(st.integers(1, 5))
+    z, chunk = data.draw(st.integers(0, size - 1)), data.draw(st.sampled_from([1, 2, 3, 7, 64]))
+    bounds = [w for w in range(m + 1) if bounded_weight_count(m, w, size) <= 3000]
+    w = data.draw(st.sampled_from(bounds))
+    q, rows = size - 1, _chunk_rows(m, chunk)
+    chunks = list(_weight_chunks(w, size, z, range(m), chunk))
+    got = [tuple(int(v) for v in row) for X, _ in chunks for row in X]
+    assert got == list(enumerate_bounded_weight(m, w, size, z))
+    assert all(0 < len(X) <= rows for X, _ in chunks)
+    assert all(sum(r for _, r in spans) == len(X) for X, spans in chunks)
+    assert all([k for k, _ in spans] == sorted({k for k, _ in spans}) for _, spans in chunks)
+    layers = {}
+    for _, spans in chunks:
+        for k, r in spans:
+            layers[k] = layers.get(k, 0) + r
+    assert layers == {k: comb(m, k) * q**k for k in range(min(w, m) + 1) if q**k}
+    pieces = []
+    for k in range(min(w, m) + 1 if q else 1):
+        block = q**k
+        per, step = max(1, rows // block), min(block, rows)
+        for first in range(0, comb(m, k), per):
+            batch = min(per, comb(m, k) - first)
+            pieces += [batch * min(step, block - start) for start in range(0, block, step)]
+    cut, fill = [], 0
+    for piece in pieces:
+        if fill + piece > rows:
+            cut, fill = cut + [fill], 0
+        fill += piece
+    assert [len(X) for X, _ in chunks] == cut + [fill]
 
 
 @pytest.mark.parametrize("bound", range(4))
@@ -205,9 +303,9 @@ def test_one_element_carrier_is_solved_in_layer_0(monkeypatch, bound):
     weight_chunks, drawn = solver._weight_chunks, []
 
     def spy(*args):
-        for w, chunks in weight_chunks(*args):
-            drawn.append(w)
-            yield w, chunks
+        for X, spans in weight_chunks(*args):
+            drawn.extend(w for w, _ in spans)
+            yield X, spans
 
     monkeypatch.setattr(solver, "_weight_chunks", spy)
     out = solve_bounded(alg, system, bound=bound)
@@ -257,20 +355,43 @@ def test_support_batches_match_combinations():
                     # a chunk whose rows, capped by 8 * chunk cells, are per * block
                     chunk = -(-per * block * max(m, 8) // 8)
                     assert _chunk_rows(m, chunk) == per * block
-                    layers = dict(_weight_chunks(w, size, z, range(m), chunk))
-                    batches = [X[::block] for X in layers[w]]
+                    # a full piece fills its chunk, so each chunk holds at
+                    # most one piece of layer w, the last layer of the scan
+                    parts = _layer_parts(_weight_chunks(w, size, z, range(m), chunk), w)
+                    batches = [X[::block] for X in parts]
                     assert all(len(S) == per for S in batches[:-1])
                     assert 0 < len(batches[-1]) <= per
                     got = [tuple(np.flatnonzero(row != z).tolist()) for S in batches for row in S]
                     assert got == list(itertools.combinations(range(m), w))
-    # a layer of C(200, 100) supports is never built whole: its first chunk
-    # holds the first _chunk_rows(200, 65536) = 2621 of them
-    start = time.perf_counter()
-    first = next(dict(_weight_chunks(100, 2, 0, range(200)))[100])
-    assert time.perf_counter() - start < 1
-    assert [tuple(np.flatnonzero(row).tolist()) for row in first] == list(
-        itertools.islice(itertools.combinations(range(200), 100), 2621)
-    )
+    # a scan of the layers 0..100 over 200 columns is never drawn whole:
+    # its first chunk holds layers 0 and 1 (201 rows), since layer 2's first
+    # piece, the first _chunk_rows(200, 65536) = 2621 of its supports, would
+    # not fit beside them; that piece is drawn and sized, but not built
+    # until the next chunk, and no support of layer 3 is drawn
+    import supersolve.solver as solver
+
+    drawn = {}
+
+    def counted(cols, weight):
+        for support in itertools.combinations(cols, weight):
+            drawn[weight] = drawn.get(weight, 0) + 1
+            yield support
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "combinations", counted)
+        chunks = _weight_chunks(100, 2, 0, range(200))
+        start = time.perf_counter()
+        first, spans = next(chunks)
+        assert time.perf_counter() - start < 1
+        assert spans == [(0, 1), (1, 200)] and drawn == {0: 1, 1: 200, 2: 2621}
+        second, spans = next(chunks)
+        assert spans == [(2, 2621)] and drawn == {0: 1, 1: 200, 2: 2 * 2621}
+    rows = [tuple(np.flatnonzero(row).tolist()) for X in (first, second) for row in X]
+    assert rows == [
+        *itertools.combinations(range(200), 0),
+        *itertools.combinations(range(200), 1),
+        *itertools.islice(itertools.combinations(range(200), 2), 2621),
+    ]
 
 
 def test_enumeration_covers_full_space_when_w_reaches_n():
@@ -643,7 +764,7 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
         need = len(over)
     weight_chunks = solver._weight_chunks
     for chunk in (1, 7, 64, solver._CHUNK):
-        built, drawn = set(), []
+        built, drawn, named = set(), [], []
 
         def spy(start, stop, base, width, dtype, cols=None):
             if base == size - 1:  # a value block of the layer of this weight
@@ -651,8 +772,10 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
             return digits(start, stop, base, width, dtype, cols)
 
         def generated(*args):
-            for k, chunks in weight_chunks(*args):
-                yield k, (drawn.append(len(X)) or X for X in chunks)
+            for X, spans in weight_chunks(*args):
+                drawn.append(len(X))
+                named.append([k for k, _ in spans])
+                yield X, spans
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_CHUNK", chunk)
@@ -661,11 +784,18 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
             out = solve_bounded(alg, system, z=z, bound=bound)
         assert out.verdict == expected
         assert out.stats == solver.SolveStats(ref_tested, ref_nodes)
-        assert built == set(range(min(last, len(read)) + 1))
+        # the layers built are those the drawn chunks' spans name: every
+        # layer up to the verdict's, and later ones only in the chunk that
+        # holds the verdict's row
+        top = min(last, len(read))
+        assert built == {k for ks in named for k in ks}
+        assert built == set(range(max(built) + 1)) and top in built
+        assert all(k <= top for ks in named[:-1] for k in ks)
         # the last chunk holds the verdict's row; one row a chunk at chunk 1
         assert sum(drawn[:-1]) < need <= sum(drawn)
         if ref_sol is None or chunk == 1:
             assert sum(drawn) == need
+            assert built == set(range(top + 1))
 
 
 @st.composite
