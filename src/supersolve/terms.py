@@ -9,7 +9,8 @@ Concrete syntax::
     digits :=  [0-9]+              (ASCII only)
 
 Whitespace is insignificant and ';' starts a line comment.  A system file
-holds one equation ``lhs = rhs`` per non-blank, non-comment line.
+holds one equation ``lhs = rhs`` per non-blank, non-comment line; its lines
+end at '\n', '\r\n' or '\r', and any other line break is whitespace.
 """
 
 from __future__ import annotations
@@ -54,18 +55,40 @@ Term = Var | Const | App
 
 
 class NodeTable(NamedTuple):
-    """The hash-consed terms of a system, built by one fold on the first
-    read of EquationSystem.table: a leaf is keyed by itself and an
-    application by (op, arg ids), so equal subterms share one node.  nodes
-    holds each distinct node as (term, arg ids) in post-order of first
-    occurrence, roots the ids of lhs_1, rhs_1, lhs_2, ... and sizes each
-    node's tree size, as term_length counts it.  Nodes with one key get the
-    same checks from check_node, so checking them in table order meets the
-    first faulty node of a post-order walk over the trees."""
+    """The hash-consed terms of a system, interned as parse_system completes
+    them, or by one fold on the first read of EquationSystem.table of a
+    system built in code: a leaf is keyed by itself and an application by
+    (op, arg ids), so equal subterms share one node.  nodes holds each
+    distinct node as (term, arg ids) in post-order of first occurrence,
+    roots the ids of lhs_1, rhs_1, lhs_2, ... and sizes each node's tree
+    size, as term_length counts it.  Nodes with one key get the same checks
+    from check_node, so checking them in table order meets the first faulty
+    node of a post-order walk over the trees."""
 
     nodes: tuple[tuple[Term, tuple[int, ...]], ...]
     roots: tuple[int, ...]
     sizes: tuple[int, ...]
+
+
+def _interner():
+    """intern(key, term=None), the id of key's node, a leaf term or (op, *arg
+    ids), added if new with the term given or else the leaf or an App built
+    once of its arguments' terms; and done(roots), the NodeTable."""
+    ids, nodes, sizes = {}, [], []
+
+    def intern(key, term=None) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(nodes)
+            app = type(key) is tuple
+            args = key[1:] if app else ()
+            if term is None:
+                term = App(key[0], tuple([nodes[a][0] for a in args])) if app else key
+            nodes.append((term, args))
+            sizes.append(sum(map(sizes.__getitem__, args), 1))
+        return i
+
+    return intern, lambda roots: NodeTable(tuple(nodes), tuple(roots), tuple(sizes))
 
 
 @dataclass(frozen=True)
@@ -78,18 +101,11 @@ class EquationSystem:
 
     @cached_property
     def table(self) -> NodeTable:
-        ids, nodes, sizes = {}, [], []
-
-        def intern(t: Term, args: list[int]) -> int:
-            key = (t.op, *args) if isinstance(t, App) else t
-            if key not in ids:
-                ids[key] = len(nodes)
-                nodes.append((t, tuple(args)))
-                sizes.append(sum(map(sizes.__getitem__, args), 1))
-            return ids[key]
-
-        roots = fold([t for eq in self.equations for t in eq], intern)
-        return NodeTable(tuple(nodes), tuple(roots), tuple(sizes))
+        intern, done = _interner()
+        return done(fold(
+            [t for eq in self.equations for t in eq],
+            lambda t, args: intern((t.op, *args), t) if isinstance(t, App) else intern(t),
+        ))
 
     @cached_property
     def n(self) -> int:
@@ -100,110 +116,107 @@ class EquationSystem:
 # whitespace and ';' comments, then one token: a word, '#' and its digits,
 # or any other character; no token at the end of the text
 _TOKEN = re.compile(r"(?:\s|;[^\n]*)*(?:(\w+)|(#[0-9]*)|(.))?", re.DOTALL)
+# a system file's line ends; any other line break is whitespace in its line
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
-class _Scanner:
-    """Tokens: ('var', i) ('const', c) ('op', name) '(' ')' ',' ('end', None)."""
+def _number(digits: str, start: int, line: int | None) -> int:
+    if not digits.isascii():
+        raise ParseError("numbers must be written in ASCII digits", start, line)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("number too long", start, line) from None
 
-    def __init__(self, text: str, line: int | None = None, pos: int = 0):
-        self.text = text
-        self.pos = pos
-        self.line = line
 
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        return ParseError(message, self.pos if pos is None else pos, self.line)
+def _at(match) -> int:  # where match's token starts, or the text's end
+    return match.start(match.lastindex) if match.lastindex else match.end()
 
-    def _number(self, digits: str, start: int) -> int:
-        if not digits.isascii():
-            raise self.error("numbers must be written in ASCII digits", start)
-        try:
-            return int(digits)
-        except ValueError:  # more digits than int() converts
-            raise self.error("number too long", start) from None
 
-    def next(self):
-        match = _TOKEN.match(self.text, self.pos)
-        self.pos = match.end()
-        if not match.lastindex:
-            return ("end", None), self.pos
-        token, start = match.group(match.lastindex), match.start(match.lastindex)
-        c = token[0]
-        if c in "(),":
-            return (c, None), start
-        if c == "#":
-            if len(token) == 1:
-                raise self.error("expected digits after '#'", start)
-            return ("const", self._number(token[1:], start)), start
-        if c.isalpha() or c == "_":
-            if c == "x" and token[1:].isdigit():
-                index = self._number(token[1:], start)
+def _parse(text: str, pos: int, end: int, line: int | None, intern, leaves: dict) -> int:
+    """The id of one term, which must be all of text[pos:end], read by one
+    pass of _TOKEN.  Applications still open wait on a stack as [operation
+    name, arg ids read so far].  A shift-reduce parser completes nodes in
+    post-order, and each is interned as it completes: a leaf when its token
+    is read, an application at its ')'.  leaves maps each leaf token already
+    read to its id, so that a repeated one is neither checked nor built."""
+    stack: list[list] = []
+    op = node = None  # an operation name awaiting '(', or a term just completed
+    for m in _TOKEN.finditer(text, pos, end):
+        g = m.lastindex
+        tok = m[g] if g else ""
+        i = leaves.get(tok)
+        if i is None and g:  # check a new token, and intern a new leaf
+            c = tok[0]
+            if g == 3 and c not in "()," or g == 1 and not (c.isalpha() or c == "_"):
+                raise ParseError(f"unexpected character {c!r}", m.start(g), line)
+            if g == 2:
+                if len(tok) == 1:
+                    raise ParseError("expected digits after '#'", m.start(2), line)
+                i = leaves[tok] = intern(Const(_number(tok[1:], m.start(2), line)))
+            elif g == 1 and c == "x" and tok[1:].isdigit():
+                index = _number(tok[1:], m.start(1), line)
                 if index < 1:
-                    raise self.error("variable index must be >= 1", start)
-                return ("var", index), start
-            return ("op", token), start
-        raise self.error(f"unexpected character {c!r}", start)
-
-
-def _parse(scanner: _Scanner) -> Term:
-    """One term, which must be the whole input.  Applications still open
-    wait on a stack as (operation name, arguments read so far)."""
-    stack: list[tuple[str, list[Term]]] = []
-    while True:
-        (kind, value), start = scanner.next()
-        if kind == "var":
-            term = Var(value)
-        elif kind == "const":
-            term = Const(value)
-        elif kind == "op":
-            (tok, _), p = scanner.next()
+                    raise ParseError("variable index must be >= 1", m.start(1), line)
+                i = leaves[tok] = intern(Var(index))
+        if node is not None:
+            if tok == ")" and stack:
+                node = intern((*stack.pop(), node))
+            elif not stack:
+                if g:
+                    raise ParseError("trailing input after term", _at(m), line)
+                return node
+            elif tok == ",":
+                stack[-1].append(node)
+                node = None
+            else:
+                raise ParseError("expected ',' or ')' (unclosed application?)", _at(m), line)
+        elif op is not None:
             if tok != "(":
-                raise scanner.error(f"expected '(' after operation {value!r}", p)
-            save = scanner.pos
-            if scanner.next()[0][0] != ")":
-                scanner.pos = save
-                stack.append((value, []))
-                continue
-            term = App(value, ())
-        elif kind == "end":
-            raise scanner.error("unexpected end of input", start)
+                raise ParseError(f"expected '(' after operation {op!r}", _at(m), line)
+            stack.append([op])
+            op = None
+        elif i is not None:
+            node = i
+        elif tok == ")" and stack and len(stack[-1]) == 1:  # op() is a nullary term
+            node = intern(tuple(stack.pop()))
+        elif g == 1:
+            op = tok
         else:
-            raise scanner.error(f"unexpected token {kind!r}", start)
-        (tok, _), p = scanner.next()
-        while tok == ")" and stack:
-            op, args = stack.pop()
-            term = App(op, (*args, term))
-            (tok, _), p = scanner.next()
-        if not stack:
-            if tok != "end":
-                raise scanner.error("trailing input after term", p)
-            return term
-        if tok != ",":
-            raise scanner.error("expected ',' or ')' (unclosed application?)", p)
-        stack[-1][1].append(term)
+            message = f"unexpected token {tok!r}" if g else "unexpected end of input"
+            raise ParseError(message, _at(m), line)
 
 
 def parse_term(text: str, line: int | None = None) -> Term:
     """Parse a single term; the whole input must be consumed."""
-    return _parse(_Scanner(text, line))
+    intern, done = _interner()
+    root = _parse(text, 0, len(text), line, intern, {})
+    return done([root]).nodes[root][0]
 
 
 def parse_system(text: str) -> EquationSystem:
-    """Parse a system file: one 'lhs = rhs' equation per effective line."""
-    equations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """Parse a system file, one 'lhs = rhs' equation per effective line,
+    straight into the system's node table."""
+    intern, done = _interner()
+    leaves: dict[str, int] = {}
+    roots = []
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split(";", 1)[0]
         if not line.strip():
             continue
         if line.count("=") != 1:
             raise ParseError("expected exactly one '=' per equation", 0, lineno)
         eq = line.index("=")
-        lhs = parse_term(line[:eq], line=lineno)
-        # scanned in place, so that positions count from the start of the line
-        rhs = _parse(_Scanner(line, lineno, pos=eq + 1))
-        equations.append((lhs, rhs))
-    if not equations:
+        # both sides scanned in place, so that positions count from the start of the line
+        roots.append(_parse(line, 0, eq, lineno, intern, leaves))
+        roots.append(_parse(line, eq + 1, len(line), lineno, intern, leaves))
+    if not roots:
         raise ParseError("empty system", 0)
-    return EquationSystem(tuple(equations))
+    table = done(roots)
+    sides = [table.nodes[r][0] for r in roots]
+    system = EquationSystem(tuple(zip(sides[::2], sides[1::2])))
+    vars(system)["table"] = table  # what the cached property would build by a fold
+    return system
 
 
 def fold(roots, visit) -> list:

@@ -2,8 +2,9 @@
 
 None of these is called by the package: the bounded scan's canonical
 order as a plain generator, the paper's Mal'cev normalization, the
-absorbing components computed from their definition, and an exact decision
-procedure for linear systems over Z_m.
+absorbing components computed from their definition, an exact decision
+procedure for linear systems over Z_m, and a reference parser of system
+files that reads one token at a time and builds a fresh tree per term.
 """
 
 from itertools import combinations, product
@@ -12,7 +13,7 @@ from math import gcd
 from supersolve.absorbing import TabulatedFunction, _tensor, restrict_vector
 from supersolve.algebra import FiniteAlgebra
 from supersolve.malcev import TernaryFunctionTable, is_malcev
-from supersolve.terms import App, Const, EquationSystem, Term, Var, fold
+from supersolve.terms import _TOKEN, App, Const, EquationSystem, ParseError, Term, Var, fold
 
 
 def enumerate_bounded_weight(n: int, w: int, size: int, z: int = 0):
@@ -195,3 +196,114 @@ def solve_linear(A, b, m: int):
         if d:
             x[i] = c[i] // g * pow(d // g, -1, m // g) % m
     return True, [sum(v * y for v, y in zip(row, x)) % m for row in V]
+
+
+# ---------------------------------------------------------------------------
+# the reference parser: a scanner called once per token, and a shift-reduce
+# parser that builds each occurrence of a subterm as its own tree; lines end
+# at '\n', '\r\n' or '\r' only, as in supersolve.terms.parse_system
+
+
+class _Scanner:
+    """Tokens: ('var', i) ('const', c) ('op', name) '(' ')' ',' ('end', None)."""
+
+    def __init__(self, text: str, line: int | None = None, pos: int = 0):
+        self.text = text
+        self.pos = pos
+        self.line = line
+
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, self.pos if pos is None else pos, self.line)
+
+    def _number(self, digits: str, start: int) -> int:
+        if not digits.isascii():
+            raise self.error("numbers must be written in ASCII digits", start)
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", start) from None
+
+    def next(self):
+        match = _TOKEN.match(self.text, self.pos)
+        self.pos = match.end()
+        if not match.lastindex:
+            return ("end", None), self.pos
+        token, start = match.group(match.lastindex), match.start(match.lastindex)
+        c = token[0]
+        if c in "(),":
+            return (c, None), start
+        if c == "#":
+            if len(token) == 1:
+                raise self.error("expected digits after '#'", start)
+            return ("const", self._number(token[1:], start)), start
+        if c.isalpha() or c == "_":
+            if c == "x" and token[1:].isdigit():
+                index = self._number(token[1:], start)
+                if index < 1:
+                    raise self.error("variable index must be >= 1", start)
+                return ("var", index), start
+            return ("op", token), start
+        raise self.error(f"unexpected character {c!r}", start)
+
+
+def _parse(scanner: _Scanner) -> Term:
+    """One term, which must be the whole input.  Applications still open
+    wait on a stack as (operation name, arguments read so far)."""
+    stack: list[tuple[str, list[Term]]] = []
+    while True:
+        (kind, value), start = scanner.next()
+        if kind == "var":
+            term = Var(value)
+        elif kind == "const":
+            term = Const(value)
+        elif kind == "op":
+            (tok, _), p = scanner.next()
+            if tok != "(":
+                raise scanner.error(f"expected '(' after operation {value!r}", p)
+            save = scanner.pos
+            if scanner.next()[0][0] != ")":
+                scanner.pos = save
+                stack.append((value, []))
+                continue
+            term = App(value, ())
+        elif kind == "end":
+            raise scanner.error("unexpected end of input", start)
+        else:
+            raise scanner.error(f"unexpected token {kind!r}", start)
+        (tok, _), p = scanner.next()
+        while tok == ")" and stack:
+            op, args = stack.pop()
+            term = App(op, (*args, term))
+            (tok, _), p = scanner.next()
+        if not stack:
+            if tok != "end":
+                raise scanner.error("trailing input after term", p)
+            return term
+        if tok != ",":
+            raise scanner.error("expected ',' or ')' (unclosed application?)", p)
+        stack[-1][1].append(term)
+
+
+def parse_term(text: str, line: int | None = None) -> Term:
+    """Parse a single term; the whole input must be consumed."""
+    return _parse(_Scanner(text, line))
+
+
+def parse_system(text: str) -> EquationSystem:
+    """Parse a system file: one 'lhs = rhs' equation per effective line."""
+    equations = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split(";", 1)[0]
+        if not line.strip():
+            continue
+        if line.count("=") != 1:
+            raise ParseError("expected exactly one '=' per equation", 0, lineno)
+        eq = line.index("=")
+        lhs = parse_term(line[:eq], line=lineno)
+        # scanned in place, so that positions count from the start of the line
+        rhs = _parse(_Scanner(line, lineno, pos=eq + 1))
+        equations.append((lhs, rhs))
+    if not equations:
+        raise ParseError("empty system", 0)
+    return EquationSystem(tuple(equations))

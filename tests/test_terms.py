@@ -22,6 +22,7 @@ from supersolve.terms import (
     term_length,
 )
 
+import oracles
 from oracles import substitute
 from sampling import random_system, random_term
 
@@ -90,6 +91,22 @@ def test_parse_system():
     two = parse_system("; header\nadd(x1,x2) = #3\n\nx1 = x4 ; note\n")
     assert two.s == 2
     assert two.n == 4
+
+
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"])
+def test_a_comment_runs_to_the_end_of_its_line(brk):
+    # only '\n', '\r\n' and '\r' end a line: any other line break is
+    # whitespace, so it neither ends a comment nor splits an equation
+    assert parse_system(f"x1 = #1 ; was{brk}x1 = #2\n").equations == ((Var(1), Const(1)),)
+    assert parse_system(f"x1 = #1 ; a{brk}note").equations == ((Var(1), Const(1)),)
+    assert parse_system(f"add(x1,{brk}x2) ={brk}#3\n") == parse_system("add(x1, x2) = #3\n")
+
+
+def test_lines_end_at_newline_carriage_return_or_both():
+    for end in ["\n", "\r\n", "\r"]:
+        with pytest.raises(ParseError) as exc:
+            parse_system(f"x1 = #0{end}; note{end}{end}x1 = add(x1{end}")
+        assert (exc.value.line, exc.value.position) == (4, 11)
 
 
 def test_parse_system_errors():
@@ -257,6 +274,35 @@ def test_node_table_of_random_systems(group_fixtures, lattice):
             _assert_node_table(random_system(rng, alg, max_n=6, max_s=3, max_depth=4))
 
 
+def test_parsed_node_table_of_random_systems(group_fixtures, lattice):
+    # parse_system builds the table as it parses, with no fold over the
+    # trees; it must be the table a fold over the same terms would build
+    rng = random.Random(28)
+    for alg in [*group_fixtures, lattice]:
+        for _ in range(40):
+            system = random_system(rng, alg, max_n=6, max_s=3, max_depth=4)
+            parsed = parse_system(format_system(system))
+            assert "table" in vars(parsed)
+            assert parsed == system and parsed.table == system.table
+            _assert_node_table(parsed)
+
+
+def test_parsed_equal_subterms_are_one_object():
+    system = parse_system(
+        "add(neg(x1), neg(x1)) = neg(x1)\nadd(x01, zero()) = add(neg(x1), neg(x1))\n"
+    )
+    (lhs1, rhs1), (lhs2, rhs2) = system.equations
+    assert lhs1.args[0] is lhs1.args[1] is rhs1
+    assert rhs2 is lhs1
+    assert lhs2.args[0] is rhs1.args[0]  # x01 and x1 are one variable
+    # each node's term is the object the equations hold
+    nodes = system.table.nodes
+    assert [nodes[r][0] for r in system.table.roots] == [lhs1, rhs1, lhs2, rhs2]
+    assert all(
+        arg is nodes[a][0] for t, ids in nodes for arg, a in zip(getattr(t, "args", ()), ids)
+    )
+
+
 _SHARED = parse_term("add(x2, neg(x1))")
 
 
@@ -299,6 +345,61 @@ def test_parse_system_returns_or_raises_parse_error(text):
     except ParseError:
         return
     assert parse_system(format_system(system)) == system
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.position, exc.line
+
+
+def _assert_parses_as_reference(text):
+    # equal equations and a table equal to a fold's over them, or the same
+    # error at the same position of the same line
+    got, want = _parse_outcome(parse_system, text), _parse_outcome(oracles.parse_system, text)
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[0] == "ok" and got[1].equations == want[1].equations
+        assert got[1].table == EquationSystem(want[1].equations).table
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SYSTEM_TEXT)
+def test_parse_system_matches_the_reference_parser(text):
+    _assert_parses_as_reference(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SIDE)
+def test_parse_term_matches_the_reference_parser(text):
+    # a term's text may hold newlines, so a comment there ends at the next one
+    assert _parse_outcome(parse_term, text) == _parse_outcome(oracles.parse_term, text)
+
+
+# Edits of valid system text: a character deleted, replaced or inserted,
+# drawn from the grammar's characters, line breaks and any character.
+_EDIT_CHAR = st.one_of(st.sampled_from("x#1()0,;= \t\n\r\u2028\x0c_a\u00b2"), st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_system_matches_the_reference_parser_on_edited_systems(
+    group_fixtures, lattice, data
+):
+    alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    text = list(format_system(random_system(rng, alg, max_n=12, max_s=3, max_depth=4)))
+    _assert_parses_as_reference("".join(text))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit != "insert" and at < len(text):
+            del text[at]
+        if edit != "delete":
+            text.insert(at, data.draw(_EDIT_CHAR))
+    _assert_parses_as_reference("".join(text))
 
 
 def _terms(alg):
