@@ -10,14 +10,17 @@ Subsets are bitmasks: bit j-1 stands for coordinate j (1-based).  The
 absorbing element is fixed as index 0 of the domain; relabel before
 tabulating if another element should absorb.
 
-decompose computes every component by one transform; a single one is
-decompose(f).components[mask].  Its tests check it against oracles that
-compute from the definition, in tests/oracles.py.
+decompose computes every component by one transform and keeps its rows
+as they come: tables[mask] is f_mask's table, and components builds the
+validated TabulatedFunctions only when read.  absorbing_degree is
+decompose(f).degree().  The tests check it against oracles that compute
+from the definition, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +58,6 @@ class TabulatedFunction:
     def __call__(self, args) -> int:
         return self.table[table_index(args, self.domain_size)]
 
-    def is_zero(self) -> bool:
-        return not any(self.table)
-
 
 def restrict_vector(a, mask: int) -> tuple[int, ...]:
     """Copy coordinates whose (1-based) position is in the mask; set the rest to 0."""
@@ -91,24 +91,27 @@ def _transform(f: TabulatedFunction) -> np.ndarray:
     return (comps % f.prime).reshape(1 << f.arity, -1)
 
 
-def _check_budget(f: TabulatedFunction, max_points: int) -> None:
-    """The budget counts 2**n components of |A|**n points each, and at
-    least 2**n points each, so that a one-element domain's components
-    count too."""
-    if max(len(f.table), 1 << f.arity) << f.arity > max_points:
-        raise TableBudgetError(
-            f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
-            f"exceed the budget of {max_points}"
-        )
-
-
 @dataclass(frozen=True)
 class AbsorbingDecomposition:
+    """The absorbing components of `function`, one per subset mask of its
+    coordinates: tables[mask] is that component's table, as the transform
+    computed it.  components holds the same tables as TabulatedFunctions,
+    built (and validated) when it is first read."""
+
     function: TabulatedFunction
-    components: dict[int, TabulatedFunction]
+    tables: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def components(self) -> dict[int, TabulatedFunction]:
+        f = self.function
+        return {
+            mask: TabulatedFunction(f.domain_size, f.arity, f.prime, table)
+            for mask, table in enumerate(self.tables)
+        }
 
     def degree(self) -> int:
-        nonzero = [m.bit_count() for m, c in self.components.items() if not c.is_zero()]
+        """max |J| with a nonzero component; -1 for the zero function."""
+        nonzero = [mask.bit_count() for mask, table in enumerate(self.tables) if any(table)]
         return max(nonzero, default=-1)
 
     def to_json_dict(self) -> dict:
@@ -118,31 +121,26 @@ class AbsorbingDecomposition:
             "arity": self.function.arity,
             "prime": self.function.prime,
             "absorbing_degree": self.degree(),
-            "components": {
-                str(mask): list(self.components[mask].table)
-                for mask in sorted(self.components)
-            },
+            "components": {str(mask): list(table) for mask, table in enumerate(self.tables)},
         }
 
 
 def decompose(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> AbsorbingDecomposition:
-    """Full absorbing decomposition: one component per subset of [n]."""
-    _check_budget(f, max_points)
-    tables = _transform(f).tolist()
-    return AbsorbingDecomposition(f, {
-        mask: TabulatedFunction(f.domain_size, f.arity, f.prime, tuple(tables[mask]))
-        for mask in sorted(range(len(tables)), key=lambda m: (m.bit_count(), m))
-    })
+    """Full absorbing decomposition: one component per subset of [n].  The
+    budget counts 2**n components of |A|**n points each, and at least
+    2**n points each, so that a one-element domain's components count
+    too."""
+    if max(len(f.table), 1 << f.arity) << f.arity > max_points:
+        raise TableBudgetError(
+            f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
+            f"exceed the budget of {max_points}"
+        )
+    return AbsorbingDecomposition(f, tuple(map(tuple, _transform(f).tolist())))
 
 
 def absorbing_degree(
     f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
 ) -> int:
-    """max |J| with a nonzero component; -1 for the zero function.  The
-    same as decompose(f, max_points).degree(), without tabulating the
-    components."""
-    _check_budget(f, max_points)
-    nonzero = np.flatnonzero(_transform(f).any(axis=1)).tolist()
-    return max((mask.bit_count() for mask in nonzero), default=-1)
+    return decompose(f, max_points).degree()

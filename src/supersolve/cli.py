@@ -52,7 +52,7 @@ _INPUT_ERRORS = (ValueError, OSError)
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

@@ -2,9 +2,10 @@
 
 None of these is called by the package: the bounded scan's canonical
 order as a plain generator, the paper's Mal'cev normalization, the
-absorbing components computed from their definition, an exact decision
-procedure for linear systems over Z_m, and a reference parser of system
-files that reads one token at a time and builds a fresh tree per term.
+absorbing components and degree computed from their definition, an exact
+decision procedure for linear systems over Z_m and over Z2 x Z2, and a
+reference parser of system files that reads one token at a time and
+builds a fresh tree per term.
 """
 
 from itertools import combinations, product
@@ -98,6 +99,17 @@ def component_moebius(f: TabulatedFunction, mask: int, a) -> int:
     return total % f.prime
 
 
+def absorbing_degree_by_definition(f: TabulatedFunction) -> int:
+    """max |J| over the masks J whose component, by its alternating sum,
+    is nonzero at some point of A^n; -1 if there is none."""
+    points = list(product(range(f.domain_size), repeat=f.arity))
+    return max(
+        (mask.bit_count() for mask in range(1 << f.arity)
+         if any(component_moebius(f, mask, a) for a in points)),
+        default=-1,
+    )
+
+
 def is_absorbing_in(f: TabulatedFunction, mask: int) -> bool:
     """True iff f depends only on coordinates in the mask and vanishes
     whenever some masked coordinate is 0."""
@@ -113,18 +125,19 @@ def is_absorbing_in(f: TabulatedFunction, mask: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear systems over Z_m
+# linear systems over Z_m and Z2 x Z2
 
 
-def linear_form(t: Term, m: int) -> tuple[int, dict[int, int]]:
+def linear_form(t: Term, m: int, part=lambda c: c) -> tuple[int, dict[int, int]]:
     """t over groups.cyclic_group(m), whose signature is add/neg/zero, as
-    (c, a) with t(x) = c + sum of a[i] * x_i mod m."""
+    (c, a) with t(x) = c + sum of a[i] * x_i mod m; a constant #k counts
+    as part(k), its coordinate in Z_m when the group is a product."""
 
     def visit(u: Term, args) -> tuple[int, dict[int, int]]:
         if isinstance(u, Var):
             return 0, {u.index: 1}
         if isinstance(u, Const):
-            return u.value, {}
+            return part(u.value), {}
         if u.op == "zero":
             return 0, {}
         if u.op == "neg":
@@ -136,12 +149,12 @@ def linear_form(t: Term, m: int) -> tuple[int, dict[int, int]]:
     return fold([t], visit)[0]
 
 
-def linear_system(system: EquationSystem, m: int, cols):
+def linear_system(system: EquationSystem, m: int, cols, part=lambda c: c):
     """The system over Z_m as A x = b (mod m), one row per equation lhs - rhs,
-    one column per variable index in cols."""
+    one column per variable index in cols; constants as in linear_form."""
     A, b = [], []
     for lhs, rhs in system.equations:
-        (c, a), (d, e) = linear_form(lhs, m), linear_form(rhs, m)
+        (c, a), (d, e) = linear_form(lhs, m, part), linear_form(rhs, m, part)
         A.append([(a.get(i, 0) - e.get(i, 0)) % m for i in cols])
         b.append((d - c) % m)
     return A, b
@@ -196,6 +209,22 @@ def solve_linear(A, b, m: int):
         if d:
             x[i] = c[i] // g * pow(d // g, -1, m // g) % m
     return True, [sum(v * y for v, y in zip(row, x)) % m for row in V]
+
+
+def solve_klein_four(system: EquationSystem, cols):
+    """Decide a system over groups.klein_four(), whose element (x, y) is
+    2x + y: one system over Z2 per coordinate, with the same coefficients
+    and the constants' bits.  (True, v) with v[j] = 2x + y for column j,
+    or (False, (bit, y)) with y solve_linear's certificate for the
+    coordinate k >> bit & 1 that has no solution."""
+    solutions = []
+    for bit in (1, 0):
+        A, b = linear_system(system, 2, cols, lambda k: k >> bit & 1)
+        sat, v = solve_linear(A, b, 2)
+        if not sat:
+            return False, (bit, v)
+        solutions.append(v)
+    return True, [2 * x + y for x, y in zip(*solutions)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supersolve import cli, solver, terms
+from supersolve import absorbing, cli, solver, terms
 from supersolve.algebra import render_algebra
 from supersolve.groups import cyclic_group, two_element_lattice
 from supersolve.witness import TheoremViolation
@@ -235,6 +235,38 @@ def test_absorb_command(tmp_path, capsys):
     assert doc["absorbing_degree"] == 2
     assert doc["components"]["3"] == [0, 0, 0, 1]
     assert doc["components"]["0"] == [0, 0, 0, 0]
+
+
+def test_absorb_builds_only_the_input_function(tmp_path, capsys, monkeypatch):
+    # the decomposition keeps the transform's rows and builds its
+    # components as TabulatedFunctions only when they are read, which
+    # absorb does not do: the input is the one table validated
+    table = [(i * i + i // 4) % 3 for i in range(16)]
+    fn_path = tmp_path / "f.json"
+    fn_path.write_text(json.dumps({"domain_size": 2, "arity": 4, "prime": 3, "table": table}))
+    built = []
+    original = absorbing.TabulatedFunction.__post_init__
+
+    def counted(self):
+        built.append(self.table)
+        original(self)
+
+    monkeypatch.setattr(absorbing.TabulatedFunction, "__post_init__", counted)
+    code, out, err = run_cli(capsys, ["absorb", "--function", str(fn_path), "--json"])
+    assert (code, err, built) == (0, "", [tuple(table)])
+    monkeypatch.undo()
+    f = absorbing.TabulatedFunction(2, 4, 3, tuple(table))
+    dec = absorbing.decompose(f)
+    assert json.loads(out)["components"] == {
+        str(mask): list(row) for mask, row in enumerate(dec.tables)
+    }
+    components = dec.components
+    assert components == {
+        mask: absorbing.TabulatedFunction(f.domain_size, f.arity, f.prime, row)
+        for mask, row in enumerate(dec.tables)
+    }
+    assert list(components) == list(range(16))
+    assert dec.components is components
 
 
 def test_reduce_witness_ks(tmp_path, capsys):
@@ -930,3 +962,44 @@ def test_deeply_nested_chain_is_solved(tmp_path, capsys, z2_file, command, depth
         },
     }[command]
     assert json.loads(out) == expected
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    # some editors start a UTF-8 file with U+FEFF: one leading mark is
+    # dropped from every input file, which then reads as the plain one
+    files = {
+        "z4.json": render_algebra(cyclic_group(4)),
+        "sys.txt": "add(x1, x2) = #3\nneg(x2) = #1\n",
+        "f.json": json.dumps({"domain_size": 2, "arity": 2, "prime": 2, "table": [0, 0, 0, 1]}),
+    }
+    runs = []
+    for mark in ("", "\ufeff"):
+        folder = tmp_path / f"mark{len(mark)}"
+        folder.mkdir()
+        for name, text in files.items():
+            (folder / name).write_text(mark + text, encoding="utf-8")
+        algebra = ["--algebra", str(folder / "z4.json")]
+        system = ["--system", str(folder / "sys.txt")]
+        runs.append([
+            run_cli(capsys, argv) for argv in (
+                ["solve", *algebra, *system, "--json"],
+                ["validate", *algebra, *system],
+                ["malcev", *algebra, "--json"],
+                ["absorb", "--function", str(folder / "f.json"), "--json"],
+            )
+        ])
+    assert runs[0] == runs[1]
+    assert [(code, err) for code, _, err in runs[0]] == [(0, "")] * 4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeffx1 = #1\nx2 = \ufeff#1\n", "line 2: unexpected character '\\ufeff' at position 5"),
+    ("\ufeff\ufeffx1 = #1\n", "line 1: unexpected character '\\ufeff' at position 0"),
+])
+def test_a_byte_order_mark_past_the_start_is_a_parse_error(
+    tmp_path, capsys, z4_file, text, message
+):
+    sys_path = tmp_path / "sys.txt"
+    sys_path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["solve", "--algebra", z4_file, "--system", str(sys_path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -5,20 +5,23 @@ A x = b (mod m), which Smith normal form over Z decides in polynomial time
 (Goldmann and Russell, Information and Computation 2002).  The oracle in
 tests/oracles.py answers with a solution or with a certificate y, y A = 0
 and y b != 0 (mod m); each is checked here through the plain evaluator.
+Over groups.klein_four() a system is one such system over Z2 for each
+coordinate, and a certificate is that of the coordinate that fails.
 """
 
 import random
 
 import pytest
 
-from supersolve.groups import cyclic_group
+from supersolve.groups import cyclic_group, klein_four
 from supersolve.solver import solve_bounded, solve_brute
 from supersolve.terms import App, Const, EquationSystem, Var, eval_term
 
-from oracles import linear_system, solve_linear, substitute
+from oracles import linear_system, solve_klein_four, solve_linear, substitute
 from sampling import random_system
 
 MODULI = range(2, 7)
+K4 = klein_four()
 
 
 def _variables(system):
@@ -49,36 +52,44 @@ def _spread(rng, system, n):
 
 
 def _decide(alg, system):
-    """The oracle's answer, with its solution or certificate checked."""
-    m, cols = alg.size, _variables(system)
-    A, b = linear_system(system, m, cols)
-    sat, v = solve_linear(A, b, m)
+    """The oracle's answer, with its solution or certificate checked.  A
+    certificate is over Z_m, for one part of each value: all of it over
+    Z_m, one bit over K4, which a variable's unit value sets."""
+    cols = _variables(system)
+    m, unit, part = alg.size, 1, lambda c: c
+    if alg == K4:
+        m, (sat, v) = 2, solve_klein_four(system, cols)
+        if not sat:
+            bit, v = v
+            unit, part = 1 << bit, lambda c: c >> bit & 1
+    else:
+        sat, v = solve_linear(*linear_system(system, m, cols), m)
     if sat:
         a = [0] * system.n
         for c, x in zip(cols, v):
             a[c - 1] = x
         assert all(eval_term(alg, lhs, a) == eval_term(alg, rhs, a) for lhs, rhs in system.equations)
         return True
+    A, b = linear_system(system, m, cols, part)
     assert not any(sum(y * row[j] for y, row in zip(v, A)) % m for j in range(len(cols)))
     assert sum(y * x for y, x in zip(v, b)) % m
 
     def combined(a):
         return sum(
-            y * (eval_term(alg, lhs, a) - eval_term(alg, rhs, a))
+            y * (part(eval_term(alg, lhs, a)) - part(eval_term(alg, rhs, a)))
             for y, (lhs, rhs) in zip(v, system.equations)
         ) % m
 
     # an affine function that takes one nonzero value at 0 and at every
     # unit vector of the mentioned coordinates is that value everywhere
+    # (over K4 it reads one bit of each variable, which the units set)
     zero = [0] * system.n
-    units = [[int(i == c - 1) for i in range(system.n)] for c in cols]
+    units = [[unit * (i == c - 1) for i in range(system.n)] for c in cols]
     assert combined(zero) and all(combined(a) == combined(zero) for a in units)
     return False
 
 
-@pytest.mark.parametrize("m", MODULI)
-def test_linear_oracle_agrees_with_brute(m):
-    alg, rng = cyclic_group(m), random.Random(1300 + m)
+def _agrees_with_brute(alg, rng):
     verdicts = set()
     for _ in range(40):
         system = random_system(rng, alg, max_n=5, max_s=3)
@@ -89,12 +100,20 @@ def test_linear_oracle_agrees_with_brute(m):
 
 
 @pytest.mark.parametrize("m", MODULI)
-def test_bounded_scan_agrees_with_linear_oracle(m):
+def test_linear_oracle_agrees_with_brute(m):
+    _agrees_with_brute(cyclic_group(m), random.Random(1300 + m))
+
+
+def test_klein_four_oracle_agrees_with_brute():
+    _agrees_with_brute(K4, random.Random(1304))
+
+
+def _bounded_scan_agrees(alg, rng):
     # n up to 200 with at most 6 mentioned variables: the default bound is
     # the theorem's, below |V| for some systems over Z2, Z3, Z5 and Z6; a
     # bound of |V| or more covers every assignment of V, and a lower one
     # may only miss solutions
-    alg, rng = cyclic_group(m), random.Random(1400 + m)
+    m = alg.size
     verdicts = set()
     for k in range(80):
         if k % 2:
@@ -110,3 +129,14 @@ def test_bounded_scan_agrees_with_linear_oracle(m):
             assert got == sat if bound >= width else got <= sat, (system, z, bound)
         verdicts.add(sat)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_bounded_scan_agrees_with_linear_oracle(m):
+    _bounded_scan_agrees(cyclic_group(m), random.Random(1400 + m))
+
+
+def test_bounded_scan_agrees_with_klein_four_oracle():
+    # K4's default bound, 12 per equation, covers every V here, so only
+    # the random bounds cut the scan short
+    _bounded_scan_agrees(K4, random.Random(1404))
