@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import table_index, table_length_mismatch
+from .algebra import _is_int, table_index, table_length_mismatch
 from .bounds import is_prime
 
 DEFAULT_POINT_BUDGET = 2**20
@@ -50,10 +50,11 @@ class TabulatedFunction:
             raise ValueError(f"{self.prime} is not prime")
         if mismatch := table_length_mismatch(self.domain_size, self.arity, len(self.table)):
             raise ValueError(mismatch)
-        # two C-level reductions; a tuple converts to numpy slower than this
-        if min(self.table) < 0 or max(self.table) >= self.prime:
-            j = next(j for j, v in enumerate(self.table) if not 0 <= v < self.prime)
-            raise ValueError(f"table[{j}] value {self.table[j]} not in [0, {self.prime})")
+        # C-level passes (types, then min and max); a tuple converts to numpy slower
+        table = self.table
+        if not set(map(type, table)) <= {int} or min(table) < 0 or max(table) >= self.prime:
+            j = next(j for j, v in enumerate(table) if not _is_int(v) or not 0 <= v < self.prime)
+            raise ValueError(f"table[{j}] value {table[j]!r} not in [0, {self.prime})")
 
     def __call__(self, args) -> int:
         return self.table[table_index(args, self.domain_size)]

@@ -98,16 +98,13 @@ def digits(start: int, stop: int, base: int, width: int, dtype, cols=None) -> np
     that structure, in dtype: the values of the blocks the rows meet,
     each repeated P times, and that one period tiled when it is shorter
     than the rows.  Block offsets are Python ints, so start and stop may
-    pass int64.  A column whose place value exceeds the last rank holds
-    only zeros and is not computed.
+    pass int64.
     """
     cols = range(width) if cols is None else cols
     n = stop - start
     out = np.zeros((n, len(cols)), dtype=dtype, order="F")
     for j, t in enumerate(cols):
         place = base ** (width - 1 - t)
-        if place >= stop:
-            continue
         block, off = divmod(start, place)
         if place >= n:  # the rows meet at most two blocks
             out[: place - off, j] = block % base
@@ -168,7 +165,7 @@ class FiniteAlgebra:
                     f"{where}: {mismatch} for arity {op.arity} and size {self.size}"
                 )
             for j, v in enumerate(op.table):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.size:
+                if not _is_int(v) or not 0 <= v < self.size:
                     raise AlgebraError(
                         f"{where}: table[{j}] entry {v!r} out of range "
                         f"[0, {self.size})"

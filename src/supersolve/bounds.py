@@ -21,6 +21,11 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 
+class TheoremViolation(RuntimeError):
+    """An internal self-check failed (re-verification of a found solution,
+    tight <= loose bound, witness search): an implementation bug, never input."""
+
+
 # Miller-Rabin to these bases decides primality exactly below _MR_LIMIT
 # (Sorenson and Webster, Math. Comp. 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -90,8 +95,6 @@ def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
     """
     if s < 1 or mu < 1:
         raise ValueError("s and mu must be >= 1")
-    if cardinality == 1:
-        return s
     if cardinality < 1:
         raise ValueError(f"cardinality must be >= 1, got {cardinality}")
     if cardinality & (cardinality - 1) == 0:
@@ -163,8 +166,8 @@ def make_bound_report(s: int, mu: int, cardinality: int, n: int | None = None) -
     ks = [k_factor(mu, p, a) for p, a in factors]
     tight = s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))
     loose = loose_weight_bound(s, mu, cardinality)
-    if cardinality >= 2 and tight > loose:
-        raise AssertionError(
+    if tight > loose:
+        raise TheoremViolation(
             f"tight bound {tight} exceeds loose bound {loose}; "
             "bound arithmetic is broken"
         )

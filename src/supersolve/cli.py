@@ -13,10 +13,10 @@ so "supersolve -- solve ..." exits 2 with "invalid choice: '--'".
 
 Exit codes: 0 = satisfiable / success, 1 = no solution (the output
 distinguishes conditional from exhaustive), 2 = input error, 3 = internal
-theorem violation (never expected).  Machine output (--json, schema
-"supersolve/1") goes to stdout; diagnostics go to stderr.  In the default
-deterministic mode identical invocations on identical files produce
-byte-identical JSON, so bench timings are only emitted with
+fault, any bounds.TheoremViolation (never expected).  Machine output
+(--json, schema "supersolve/1") goes to stdout; diagnostics go to stderr.
+In the default deterministic mode identical invocations on identical
+files produce byte-identical JSON, so bench timings are only emitted with
 --no-deterministic.
 """
 
@@ -291,10 +291,10 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
     _io_args(p)
     p.add_argument("--zero", type=int, default=0)
     p.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="byte-stable output: omit the timing fields (default on)",
+        "--no-deterministic",
+        dest="deterministic",
+        action="store_false",
+        help="add the timing fields, which vary from run to run",
     )
 
 

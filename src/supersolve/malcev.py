@@ -104,7 +104,7 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
         witnesses.append(witness)
         return tables[-1], witness
 
-    projections = np.indices((size,) * 3, dtype).reshape(3, length)
+    projections = digits(0, length, size, 3, dtype).T
     seeds = [(column.tobytes(), Var(i + 1)) for i, column in enumerate(projections)]
     if include_constants:
         seeds += [(np.full(length, c, dtype).tobytes(), Const(c)) for c in range(size)]
@@ -164,7 +164,7 @@ def find_malcev(
     explored = 0
     for explored, (arr, witness) in enumerate(_clone(alg, include_constants, cap), 1):
         if explored == 1:  # _clone has now checked the size
-            x, y = np.indices((size, size), arr.dtype).reshape(2, size**2)
+            x, y = digits(0, size**2, size, 2, arr.dtype).T
             xyy, xxy = table_index((x, y, y), size), table_index((x, x, y), size)
         if (arr.take(xyy) == x).all() and (arr.take(xxy) == y).all():
             return TernaryFunctionTable(size, tuple(arr.tolist()), witness)

@@ -5,9 +5,10 @@ The bounded solver scans the candidate set of assignments whose weight
 bound; for supernilpotent algebras a solvable system always has such a
 low-weight solution, so an exhausted scan proves unsolvability *given
 that precondition*.  Verdicts say which kind they are: found solutions
-are re-verified and unconditional, bounded "no" verdicts carry an
-explicit conditional flag, and scans that covered all of A^n upgrade to
-an unconditional exhaustive verdict.
+are re-verified and unconditional (one that fails raises TheoremViolation,
+an implementation bug), bounded "no" verdicts carry an explicit
+conditional flag, and scans that covered all of A^n upgrade to an
+unconditional exhaustive verdict.
 
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
@@ -54,8 +55,8 @@ from math import comb
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_index
-from .bounds import make_bound_report
+from .algebra import FiniteAlgebra, _is_int, carrier_dtype, digits, max_arity, table_index
+from .bounds import TheoremViolation, make_bound_report
 from .terms import Const, EquationSystem, Var, check_node, eval_term
 
 _CHUNK = 1 << 16
@@ -396,7 +397,7 @@ def _found(alg, system, cols, base: int, row) -> SolutionFound:
     for c, v in zip(cols, row.tolist()):
         a[c] = v
     if not all(eval_term(alg, lhs, a) == eval_term(alg, rhs, a) for lhs, rhs in system.equations):
-        raise RuntimeError(f"internal error: candidate {tuple(a)} failed re-verification")
+        raise TheoremViolation(f"candidate {tuple(a)} failed re-verification")
     return SolutionFound(tuple(a), verified=True)
 
 
@@ -410,8 +411,10 @@ def solve_bounded(
     at n) in canonical order, over the columns of the folded plan; "no
     solution" is conditional on the algebra being supernilpotent unless the
     scan covered all of A^n."""
-    if not 0 <= z < alg.size:
-        raise ValueError(f"base element {z} out of range [0, {alg.size})")
+    if not _is_int(z) or not 0 <= z < alg.size:
+        raise ValueError(f"base element {z!r} out of range [0, {alg.size})")
+    if bound is not None and not _is_int(bound):
+        raise ValueError(f"bound must be an integer, got {bound!r}")
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     planned = _plan(alg, system, fold=True)

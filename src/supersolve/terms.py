@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, apply_op
+from .algebra import FiniteAlgebra, _is_int, apply_op
 
 
 class ParseError(ValueError):
@@ -289,7 +289,7 @@ def check_node(alg: FiniteAlgebra, t: Term) -> None:
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
-    """Bottom-up evaluation of t at the given assignment vector."""
+    """Bottom-up evaluation of t at an assignment of carrier elements."""
 
     def visit(u: Term, args: list[int]) -> int:
         if isinstance(u, App):
@@ -301,7 +301,10 @@ def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
             raise EvalError(
                 f"variable x{u.index} beyond assignment of length {len(assignment)}"
             )
-        return assignment[u.index - 1]
+        v = assignment[u.index - 1]
+        if not _is_int(v) or not 0 <= v < alg.size:
+            raise EvalError(f"x{u.index} = {v!r} out of range [0, {alg.size})")
+        return v
 
     return fold([t], visit)[0]
 

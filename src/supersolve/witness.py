@@ -22,11 +22,8 @@ from itertools import combinations
 from math import comb
 
 from .absorbing import TabulatedFunction, absorbing_degree, restrict_vector
-from .bounds import is_prime
-
-
-class TheoremViolation(RuntimeError):
-    """A guaranteed witness was not found within its bound: implementation bug."""
+from .algebra import _is_int
+from .bounds import TheoremViolation, is_prime
 
 
 class HypothesisViolation(ValueError):
@@ -60,7 +57,7 @@ class SubsetFunction:
                 f"more than the {len(self.values)} given"
             )
         for mask, vec in self.values.items():
-            if len(vec) != self.m or any(not 0 <= v < self.p for v in vec):
+            if len(vec) != self.m or any(not _is_int(v) or not 0 <= v < self.p for v in vec):
                 raise ValueError(f"value at mask {mask} is not a vector in Z_{self.p}^{self.m}")
 
 
@@ -134,7 +131,7 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
     if len(a) != n:
         raise ValueError(f"point has length {len(a)}, expected {n}")
     size = fs[0].domain_size
-    if any(not 0 <= v < size for v in a):
+    if any(not _is_int(v) or not 0 <= v < size for v in a):
         raise ValueError(f"point {a} has a coordinate outside [0, {size})")
     targets = [f(a) for f in fs]
 

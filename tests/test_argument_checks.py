@@ -1,7 +1,7 @@
 """Argument checks and rarely taken exits, one case each: the library's
-guards against out-of-range arguments, a solution whose n-coordinate
-assignment cannot be built, the closure's cap met right after a nullary
-operation, and the human text of `absorb`."""
+guards against out-of-range and non-integer arguments, a solution whose
+n-coordinate assignment cannot be built, the closure's cap met right
+after a nullary operation, and the human text of `absorb`."""
 
 import pytest
 
@@ -79,6 +79,37 @@ def _normalize(z):
             lambda: _solve_z2("x1000000000000000 = #1"),
             ValueError,
             "cannot build an assignment of n = 1000000000000000 variables",
+        ),
+        # non-integers, which the JSON layer rejects too
+        (
+            lambda: TabulatedFunction(2, 1, 3, (0.5, True)),
+            ValueError,
+            "table[0] value 0.5 not in [0, 3)",
+        ),
+        (
+            lambda: TabulatedFunction(2, 1, 3, (0, True)),
+            ValueError,
+            "table[1] value True not in [0, 3)",
+        ),
+        (
+            lambda: SubsetFunction(1, 1, 2, 1, {0: (0.5,), 1: (1,)}),
+            ValueError,
+            "value at mask 0 is not a vector in Z_2^1",
+        ),
+        (
+            lambda: solve_bounded(cyclic_group(4), parse_system("x1 = #1"), z=1.5),
+            ValueError,
+            "base element 1.5 out of range [0, 4)",
+        ),
+        (
+            lambda: solve_bounded(cyclic_group(4), parse_system("x1 = #1"), bound=1.5),
+            ValueError,
+            "bound must be an integer, got 1.5",
+        ),
+        (
+            lambda: redweight_find_u([_AND], 2, (0.5, 1)),
+            ValueError,
+            "point (0.5, 1) has a coordinate outside [0, 2)",
         ),
     ],
 )

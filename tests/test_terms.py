@@ -137,6 +137,14 @@ def test_eval_errors(z4):
         eval_term(z4, parse_term("#9"), ())
 
 
+@pytest.mark.parametrize("value", [7, -1, 2.5, True])
+@pytest.mark.parametrize("text", ["x1", "add(#1, neg(x1))"], ids=["bare", "nested"])
+def test_eval_checks_each_value_a_variable_reads(z4, text, value):
+    with pytest.raises(EvalError) as info:
+        eval_term(z4, parse_term(text), [value])
+    assert str(info.value) == f"x1 = {value!r} out of range [0, 4)"
+
+
 def test_term_length():
     assert term_length(parse_term("x1")) == 1
     assert term_length(parse_term("add(x1, neg(#2))")) == 4
