@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _is_int, table_index, table_length_mismatch
+from .algebra import _check_count, _first_outside, table_index, table_length_mismatch
 from .bounds import is_prime
 
 DEFAULT_POINT_BUDGET = 2**20
@@ -42,19 +42,14 @@ class TabulatedFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if self.domain_size < 1:
-            raise ValueError(f"domain_size must be >= 1, got {self.domain_size}")
-        if self.arity < 0:
-            raise ValueError(f"arity must be >= 0, got {self.arity}")
+        _check_count("domain_size", self.domain_size, 1)
+        _check_count("arity", self.arity, 0)
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if mismatch := table_length_mismatch(self.domain_size, self.arity, len(self.table)):
             raise ValueError(mismatch)
-        # C-level passes (types, then min and max); a tuple converts to numpy slower
-        table = self.table
-        if not set(map(type, table)) <= {int} or min(table) < 0 or max(table) >= self.prime:
-            j = next(j for j, v in enumerate(table) if not _is_int(v) or not 0 <= v < self.prime)
-            raise ValueError(f"table[{j}] value {table[j]!r} not in [0, {self.prime})")
+        if (j := _first_outside(self.table, self.prime)) is not None:
+            raise ValueError(f"table[{j}] value {self.table[j]!r} not in [0, {self.prime})")
 
     def __call__(self, args) -> int:
         return self.table[table_index(args, self.domain_size)]

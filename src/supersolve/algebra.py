@@ -148,8 +148,7 @@ class FiniteAlgebra:
     operations: tuple[OperationTable, ...]
 
     def __post_init__(self):
-        if self.size < 1:
-            raise AlgebraError(f"size must be >= 1, got {self.size}")
+        _check_count("size", self.size, 1, AlgebraError)
         seen = set()
         for i, op in enumerate(self.operations):
             where = f"operations[{i}] ({op.name!r})"
@@ -158,18 +157,17 @@ class FiniteAlgebra:
             if op.name in seen:
                 raise AlgebraError(f"{where}: duplicate operation name")
             seen.add(op.name)
+            if not _is_int(op.arity):
+                raise AlgebraError(f"{where}: arity must be an integer, got {op.arity!r}")
             if op.arity < 0:
                 raise AlgebraError(f"{where}: negative arity")
             if mismatch := table_length_mismatch(self.size, op.arity, len(op.table)):
                 raise AlgebraError(
                     f"{where}: {mismatch} for arity {op.arity} and size {self.size}"
                 )
-            for j, v in enumerate(op.table):
-                if not _is_int(v) or not 0 <= v < self.size:
-                    raise AlgebraError(
-                        f"{where}: table[{j}] entry {v!r} out of range "
-                        f"[0, {self.size})"
-                    )
+            if (j := _first_outside(op.table, self.size)) is not None:
+                entry = f"table[{j}] entry {op.table[j]!r}"
+                raise AlgebraError(f"{where}: {entry} out of range [0, {self.size})")
 
     @cached_property
     def _by_name(self) -> dict[str, OperationTable]:
@@ -191,7 +189,7 @@ def apply_op(alg: FiniteAlgebra, name: str, args) -> int:
             f"operation {name!r} has arity {op.arity}, got {len(args)} arguments"
         )
     for a in args:
-        if not 0 <= a < alg.size:
+        if not _in_range(a, alg.size):
             raise AlgebraError(f"argument {a!r} out of range [0, {alg.size})")
     return op.table[table_index(args, alg.size)]
 
@@ -226,6 +224,27 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _in_range(v, bound: int) -> bool:
+    """The table-index rule: an int, not a bool, in [0, bound); exact ints skip a call."""
+    return (type(v) is int or _is_int(v)) and 0 <= v < bound
+
+
+def _first_outside(seq, bound: int) -> int | None:
+    """Index of the first entry that breaks _in_range, or None: C-level passes
+    first (types, then min and max; a tuple converts to numpy slower)."""
+    if set(map(type, seq)) <= {int} and 0 <= min(seq, default=0) <= max(seq, default=0) < bound:
+        return None
+    return next((j for j, v in enumerate(seq) if not _in_range(v, bound)), None)
+
+
+def _check_count(name: str, v, low: int, error=ValueError) -> None:
+    """Raise error unless v is an integer, not a bool, and v >= low."""
+    if type(v) is not int and not _is_int(v):
+        raise error(f"{name} must be an integer, got {v!r}")
+    if v < low:
+        raise error(f"{name} must be >= {low}, got {v}")
 
 
 def _is_ints(v) -> bool:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
+from .algebra import _check_count, _is_int
+
 
 class TheoremViolation(RuntimeError):
     """An internal self-check failed (re-verification of a found solution,
@@ -33,9 +35,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test, in time polynomial in n's digits; a number
-    past _MR_LIMIT with no factor among _MR_BASES raises ValueError."""
-    if n < 2:
+    """Exact primality test, polynomial in n's digits, False for a non-int;
+    a number past _MR_LIMIT with no factor among _MR_BASES raises ValueError."""
+    if not _is_int(n) or n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
@@ -59,8 +61,7 @@ def is_prime(n: int) -> bool:
 
 def factorize(cardinality: int) -> list[tuple[int, int]]:
     """Trial-division prime factorization, primes ascending; [] for 1."""
-    if cardinality < 1:
-        raise ValueError(f"cardinality must be >= 1, got {cardinality}")
+    _check_count("cardinality", cardinality, 1)
     out = []
     n = cardinality
     d = 2
@@ -95,8 +96,7 @@ def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
     """
     if s < 1 or mu < 1:
         raise ValueError("s and mu must be >= 1")
-    if cardinality < 1:
-        raise ValueError(f"cardinality must be >= 1, got {cardinality}")
+    _check_count("cardinality", cardinality, 1)
     if cardinality & (cardinality - 1) == 0:
         b = cardinality.bit_length() - 1
         # |A|^(log2 mu) = mu^b and |A|^(log2|A| + 1) = 2^(b*b + b), both exact
@@ -155,13 +155,11 @@ class BoundReport:
 
 def make_bound_report(s: int, mu: int, cardinality: int, n: int | None = None) -> BoundReport:
     """All bound figures in one record; effective_bound = min(n, tight)."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if n is not None and n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_count("s", s, 1)
+    if n is not None:
+        _check_count("n", n, 0)
     # before factorize: an algebra without operations may have any size
-    if mu < 1:
-        raise ValueError(f"mu (the largest operation arity) must be >= 1, got {mu}")
+    _check_count("mu (the largest operation arity)", mu, 1)
     factors = factorize(cardinality)
     ks = [k_factor(mu, p, a) for p, a in factors]
     tight = s * sum(k * a * (p - 1) for k, (p, a) in zip(ks, factors))

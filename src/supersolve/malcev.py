@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, carrier_dtype, digits, table_index
+from .algebra import FiniteAlgebra, _check_count, carrier_dtype, digits, table_index
 from .terms import App, Const, Term, Var
 
 DEFAULT_CAP = 10**6
@@ -87,8 +87,7 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
     before builds its witness.  A table is a view of its key, so its values
     are stored once, for the seen set and the table list alike.
     """
-    if cap < 3:
-        raise ValueError(f"cap must be >= 3, got {cap}")
+    _check_count("cap", cap, 3)
     size = alg.size
     if size > _MAX_SIZE:
         raise ValueError(f"size must be <= {_MAX_SIZE} for the ternary closure")

@@ -55,7 +55,8 @@ from math import comb
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, _is_int, carrier_dtype, digits, max_arity, table_index
+from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_index
+from .algebra import _check_count, _in_range
 from .bounds import TheoremViolation, make_bound_report
 from .terms import Const, EquationSystem, Var, check_node, eval_term
 
@@ -411,12 +412,10 @@ def solve_bounded(
     at n) in canonical order, over the columns of the folded plan; "no
     solution" is conditional on the algebra being supernilpotent unless the
     scan covered all of A^n."""
-    if not _is_int(z) or not 0 <= z < alg.size:
+    if not _in_range(z, alg.size):
         raise ValueError(f"base element {z!r} out of range [0, {alg.size})")
-    if bound is not None and not _is_int(bound):
-        raise ValueError(f"bound must be an integer, got {bound!r}")
-    if bound is not None and bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
+    if bound is not None:
+        _check_count("bound", bound, 0)
     planned = _plan(alg, system, fold=True)
     if bound is None:
         bound = make_bound_report(system.s, max_arity(alg), alg.size, n=system.n).effective_bound

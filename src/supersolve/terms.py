@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, _is_int, apply_op
+from .algebra import FiniteAlgebra, _check_count, _in_range, apply_op
 
 
 class ParseError(ValueError):
@@ -282,9 +282,8 @@ def check_node(alg: FiniteAlgebra, t: Term) -> None:
                 f"operation {t.op!r} has arity {op.arity}, got {len(t.args)} arguments"
             )
     elif isinstance(t, Var):
-        if t.index < 1:
-            raise EvalError(f"variable index must be >= 1, got {t.index}")
-    elif not 0 <= t.value < alg.size:
+        _check_count("variable index", t.index, 1, EvalError)
+    elif not _in_range(t.value, alg.size):
         raise EvalError(f"constant #{t.value} out of range [0, {alg.size})")
 
 
@@ -302,7 +301,7 @@ def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
                 f"variable x{u.index} beyond assignment of length {len(assignment)}"
             )
         v = assignment[u.index - 1]
-        if not _is_int(v) or not 0 <= v < alg.size:
+        if not _in_range(v, alg.size):
             raise EvalError(f"x{u.index} = {v!r} out of range [0, {alg.size})")
         return v
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .absorbing import TabulatedFunction, absorbing_degree, restrict_vector
-from .algebra import _is_int
+from .algebra import _check_count, _first_outside, _is_int
 from .bounds import TheoremViolation, is_prime
 
 
@@ -41,6 +41,8 @@ class SubsetFunction:
     values: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.n, self.k, self.m))):
+            raise ValueError(f"n, k and m must be integers, got {(self.n, self.k, self.m)}")
         if self.n < 1 or self.k < 0 or self.m < 1:
             raise ValueError("need n >= 1, k >= 0, m >= 1")
         if not is_prime(self.p):
@@ -57,7 +59,7 @@ class SubsetFunction:
                 f"more than the {len(self.values)} given"
             )
         for mask, vec in self.values.items():
-            if len(vec) != self.m or any(not _is_int(v) or not 0 <= v < self.p for v in vec):
+            if len(vec) != self.m or _first_outside(vec, self.p) is not None:
                 raise ValueError(f"value at mask {mask} is not a vector in Z_{self.p}^{self.m}")
 
 
@@ -112,8 +114,7 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
     Every f_i must have absorbing degree <= k (HypothesisViolation
     otherwise); the witness is guaranteed with |U| <= witness_bound(k, len(fs), p).
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_count("k", k, 0)
     if not fs:
         return 0
     n = fs[0].arity
@@ -131,7 +132,7 @@ def redweight_find_u(fs: list[TabulatedFunction], k: int, a) -> int:
     if len(a) != n:
         raise ValueError(f"point has length {len(a)}, expected {n}")
     size = fs[0].domain_size
-    if any(not _is_int(v) or not 0 <= v < size for v in a):
+    if _first_outside(a, size) is not None:
         raise ValueError(f"point {a} has a coordinate outside [0, {size})")
     targets = [f(a) for f in fs]
 

@@ -3,16 +3,18 @@ guards against out-of-range and non-integer arguments, a solution whose
 n-coordinate assignment cannot be built, the closure's cap met right
 after a nullary operation, and the human text of `absorb`."""
 
+from enum import IntEnum
+
 import pytest
 
 from supersolve import cli
 from supersolve.absorbing import TabulatedFunction
-from supersolve.algebra import AlgebraError, FiniteAlgebra, OperationTable
+from supersolve.algebra import AlgebraError, FiniteAlgebra, OperationTable, apply_op
 from supersolve.bounds import k_factor, loose_weight_bound, make_bound_report
 from supersolve.groups import cyclic_group
 from supersolve.malcev import MalcevNotFound, find_malcev, ternary_term_clone
-from supersolve.solver import solve_bounded
-from supersolve.terms import App, parse_system
+from supersolve.solver import solve_bounded, solve_brute
+from supersolve.terms import App, Const, EquationSystem, EvalError, Var, check_system, parse_system
 from supersolve.witness import SubsetFunction, redweight_find_u
 
 from oracles import enumerate_bounded_weight, normalize_system
@@ -111,12 +113,93 @@ def _normalize(z):
             ValueError,
             "point (0.5, 1) has a coordinate outside [0, 2)",
         ),
+        # counts and operation arguments, which the CLI only passes as ints
+        (
+            lambda: apply_op(cyclic_group(4), "neg", [1.5]),
+            AlgebraError,
+            "argument 1.5 out of range [0, 4)",
+        ),
+        (lambda: make_bound_report(1.5, 2, 4), ValueError, "s must be an integer, got 1.5"),
+        (lambda: make_bound_report(True, 2, 4), ValueError, "s must be an integer, got True"),
+        (
+            lambda: make_bound_report(1, 2.0, 4),
+            ValueError,
+            "mu (the largest operation arity) must be an integer, got 2.0",
+        ),
+        (lambda: make_bound_report(1, 2, 4, n=3.5), ValueError, "n must be an integer, got 3.5"),
+        (
+            lambda: make_bound_report(1, 2, 4.0),
+            ValueError,
+            "cardinality must be an integer, got 4.0",
+        ),
+        (
+            lambda: SubsetFunction(2, 1.5, 2, 1, {0: (0,), 1: (1,), 2: (0,)}),
+            ValueError,
+            "n, k and m must be integers, got (2, 1.5, 1)",
+        ),
+        (
+            lambda: SubsetFunction(1, 1, 2.0, 1, {0: (0,), 1: (1,)}),
+            ValueError,
+            "2.0 is not prime",
+        ),
+        (lambda: redweight_find_u([_AND], 2.5, (1, 1)), ValueError, "k must be an integer, got 2.5"),
+        (
+            lambda: TabulatedFunction(2.0, 1, 3, (0, 1)),
+            ValueError,
+            "domain_size must be an integer, got 2.0",
+        ),
+        (
+            lambda: TabulatedFunction(2, True, 3, (0, 1)),
+            ValueError,
+            "arity must be an integer, got True",
+        ),
+        (lambda: TabulatedFunction(2, 1, 3.0, (0, 1)), ValueError, "3.0 is not prime"),
+        (lambda: FiniteAlgebra("a", 1.5, ()), AlgebraError, "size must be an integer, got 1.5"),
+        (
+            lambda: FiniteAlgebra("a", 2, (OperationTable("f", 1.0, (1, 0)),)),
+            AlgebraError,
+            "operations[0] ('f'): arity must be an integer, got 1.0",
+        ),
+        (lambda: find_malcev(cyclic_group(4), cap=3.5), ValueError, "cap must be an integer, got 3.5"),
     ],
 )
 def test_out_of_range_arguments_are_rejected(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", [check_system, solve_bounded, solve_brute])
+@pytest.mark.parametrize(
+    "lhs, message",
+    [
+        (Const(1.5), "constant #1.5 out of range [0, 4)"),
+        (App("add", (Var(1), Const(1.5))), "constant #1.5 out of range [0, 4)"),
+        (Const(True), "constant #True out of range [0, 4)"),
+        (Var(1.5), "variable index must be an integer, got 1.5"),
+        (Var(True), "variable index must be an integer, got True"),
+    ],
+)
+def test_non_integer_leaves_are_input_errors(entry, lhs, message):
+    # not a failed re-verification, a TypeError from a table lookup, or x1
+    with pytest.raises(EvalError) as info:
+        entry(cyclic_group(4), EquationSystem(((lhs, Var(1)),)))
+    assert type(info.value) is EvalError and str(info.value) == message
+
+
+class _Bit(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+def test_tables_share_one_entry_rule():
+    # an int subclass other than bool is an integer for both kinds of table
+    assert TabulatedFunction(2, 1, 3, (_Bit.ONE, 0)).table == (1, 0)
+    assert FiniteAlgebra("a", 2, (OperationTable("f", 1, (_Bit.ONE, 0)),)).size == 2
+    with pytest.raises(ValueError, match=r"^table\[0\] value True not in \[0, 3\)$"):
+        TabulatedFunction(2, 1, 3, (True, 0))
+    with pytest.raises(AlgebraError, match=r"table\[0\] entry True out of range \[0, 2\)$"):
+        FiniteAlgebra("a", 2, (OperationTable("f", 1, (True, 0)),))
 
 
 # over {0, 1} with the constant k() = 1 and m = AND: the three projections,

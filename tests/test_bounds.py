@@ -89,6 +89,13 @@ def test_loose_weight_bound_beyond_float_range():
     assert value == _decimal_ceiling(s, 2, 6, digits=1000)
 
 
+def test_decimal_ceiling_falls_back_to_an_upper_bound():
+    # 4**(1 + 2 + 1) = 256 is an integer, so no precision separates the
+    # interval from it, and the fallback returns the interval's upper ceiling
+    assert _decimal_ceiling(1, 2, 4, digits=1) == 257
+    assert _decimal_ceiling(1, 2, 4, digits=1) == loose_weight_bound(1, 2, 4) + 1
+
+
 def test_make_bound_report_examples():
     report = make_bound_report(1, 2, 4, n=3)
     assert report.effective_bound == 3

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supersolve import absorbing, bounds, cli, solver, terms
+from supersolve import absorbing, bounds, cli, solver, terms, witness
 from supersolve.algebra import render_algebra
 from supersolve.groups import cyclic_group, two_element_lattice
 from supersolve.witness import TheoremViolation
@@ -359,6 +359,28 @@ def test_internal_faults_exit_3_with_one_line(
         argv += ["--system", _system_file(tmp_path, "add(x1, x1) = #2\n")]
     expected = f"theorem violation (implementation bug): {message}\n"
     assert run_cli(capsys, argv) == (3, "", expected)
+
+
+# a witness bound of 0 leaves only U = {}, whose subsets miss the total (0,)
+_KS_PHI = {"mode": "ks", "n": 3, "k": 1, "p": 2, "m": 1,
+           "phi": {"0": [1], "1": [1], "2": [0], "4": [0]}}
+_KS_FAULT = "no witness of size <= 0 for n=3, k=1, p=2, m=1"
+
+
+def test_a_witness_search_fault_raises_theorem_violation(monkeypatch):
+    monkeypatch.setattr(witness, "witness_bound", lambda k, m, p: 0)
+    phi = witness.SubsetFunction(3, 1, 2, 1, {0: (1,), 1: (1,), 2: (0,), 4: (0,)})
+    with pytest.raises(TheoremViolation) as info:
+        witness.ks_find_u(phi)
+    assert str(info.value) == _KS_FAULT
+
+
+def test_a_witness_search_fault_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(witness, "witness_bound", lambda k, m, p: 0)
+    in_path = tmp_path / "phi.json"
+    in_path.write_text(json.dumps(_KS_PHI))
+    expected = f"theorem violation (implementation bug): {_KS_FAULT}\n"
+    assert run_cli(capsys, ["reduce-witness", "--input", str(in_path)]) == (3, "", expected)
 
 
 def test_a_failed_re_verification_raises_theorem_violation(monkeypatch):
