@@ -157,10 +157,7 @@ class FiniteAlgebra:
             if op.name in seen:
                 raise AlgebraError(f"{where}: duplicate operation name")
             seen.add(op.name)
-            if not _is_int(op.arity):
-                raise AlgebraError(f"{where}: arity must be an integer, got {op.arity!r}")
-            if op.arity < 0:
-                raise AlgebraError(f"{where}: negative arity")
+            _check_count(f"{where}: arity", op.arity, 0, AlgebraError)
             if mismatch := table_length_mismatch(self.size, op.arity, len(op.table)):
                 raise AlgebraError(
                     f"{where}: {mismatch} for arity {op.arity} and size {self.size}"
@@ -256,8 +253,10 @@ _KINDS = {
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
     "a list of integers": _is_ints,
+    # a mask key is ASCII digits without a leading zero: one spelling per mask
     "an object of integer lists keyed by mask": lambda v: isinstance(v, dict)
-    and all(k.isdecimal() and _is_ints(x) for k, x in v.items()),
+    and all(k == "0" or k.isascii() and k.isdigit() and k[0] != "0" for k in v)
+    and all(map(_is_ints, v.values())),
 }
 
 

@@ -80,8 +80,8 @@ def factorize(cardinality: int) -> list[tuple[int, int]]:
 
 def k_factor(mu: int, p: int, alpha: int) -> int:
     """Supernilpotency degree bound for one prime-power factor."""
-    if mu < 1 or alpha < 1:
-        raise ValueError("mu and alpha must be >= 1")
+    _check_count("mu", mu, 1)
+    _check_count("alpha", alpha, 1)
     return (mu * (p**alpha - 1)) ** (alpha - 1)
 
 
@@ -94,8 +94,8 @@ def loose_weight_bound(s: int, mu: int, cardinality: int) -> int:
     precision, until no integer lies within that bound, so the ceiling
     is certain.
     """
-    if s < 1 or mu < 1:
-        raise ValueError("s and mu must be >= 1")
+    _check_count("s", s, 1)
+    _check_count("mu", mu, 1)
     _check_count("cardinality", cardinality, 1)
     if cardinality & (cardinality - 1) == 0:
         b = cardinality.bit_length() - 1

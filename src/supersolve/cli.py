@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 from . import absorbing, solver, witness
 from .algebra import FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
-from .bounds import make_bound_report
+from .bounds import TheoremViolation, make_bound_report
 from .malcev import DEFAULT_CAP, MalcevNotFound, find_malcev
 from .solver import (
     NoSolutionExhaustive,
@@ -39,7 +39,6 @@ from .solver import (
     SolveOutcome,
 )
 from .terms import check_system, format_term, parse_system
-from .witness import TheoremViolation
 
 SCHEMA = "supersolve/1"
 

@@ -146,8 +146,8 @@ def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
     most, since a full piece leaves no room for its layer's next, and is
     cut only when the next piece would not fit; a piece is sized before it
     is built, so a scan that stops early builds no rows past its chunk.
-    Over a one-element carrier the layers above 0 hold no rows and must not
-    be drawn: every term is 0 there, so layer 0's only row solves any system.
+    Over a one-element carrier the layers above 0 hold no rows; they must
+    not be drawn: every term is 0 there, so layer 0's only row solves any system.
     """
     base, m, dtype = size - 1, len(cols), carrier_dtype(size)
     rows = _chunk_rows(m, chunk)
@@ -196,8 +196,6 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
     first; the ids that each last reader frees, keyed by its node id or by ~k
     for equation k's comparison; and the reached variables' sorted
     coordinates (index - 1): V, or V' after a fold."""
-    if system.s < 1:
-        raise ValueError("system must contain at least one equation")
     nodes, roots, sizes = system.table
     nodes, size = list(nodes), alg.size
     tables = {op.name: op.table for op in alg.operations}

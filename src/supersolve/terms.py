@@ -95,6 +95,10 @@ def _interner():
 class EquationSystem:
     equations: tuple[tuple[Term, Term], ...]
 
+    def __post_init__(self):
+        if not self.equations:
+            raise ValueError("system must contain at least one equation")
+
     @property
     def s(self) -> int:
         return len(self.equations)
@@ -115,7 +119,7 @@ class EquationSystem:
 
 # whitespace and ';' comments, then one token: a word, '#' and its digits,
 # or any other character; no token at the end of the text
-_TOKEN = re.compile(r"(?:\s|;[^\n]*)*(?:(\w+)|(#[0-9]*)|(.))?", re.DOTALL)
+_TOKEN = re.compile(r"(?:\s|;[^\r\n]*)*(?:(\w+)|(#[0-9]*)|(.))?", re.DOTALL)
 # a system file's line ends; any other line break is whitespace in its line
 _LINE_END = re.compile(r"\r\n?|\n")
 

@@ -41,15 +41,15 @@ class SubsetFunction:
     values: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.n, self.k, self.m))):
-            raise ValueError(f"n, k and m must be integers, got {(self.n, self.k, self.m)}")
-        if self.n < 1 or self.k < 0 or self.m < 1:
-            raise ValueError("need n >= 1, k >= 0, m >= 1")
+        _check_count("n", self.n, 1)
+        _check_count("k", self.k, 0)
+        _check_count("m", self.m, 1)
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         count = _subsets_upto(self.n, self.k, len(self.values))
         if len(self.values) != count or not all(
-            0 <= mask and mask.bit_length() <= self.n and mask.bit_count() <= self.k
+            _is_int(mask) and 0 <= mask and mask.bit_length() <= self.n
+            and mask.bit_count() <= self.k
             for mask in self.values
         ):
             raise ValueError(

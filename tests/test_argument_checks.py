@@ -43,10 +43,10 @@ def _normalize(z):
         (
             lambda: FiniteAlgebra("a", 2, (OperationTable("f", -1, (0,)),)),
             AlgebraError,
-            "operations[0] ('f'): negative arity",
+            "operations[0] ('f'): arity must be >= 0, got -1",
         ),
         (lambda: TabulatedFunction(0, 1, 2, ()), ValueError, "domain_size must be >= 1, got 0"),
-        (lambda: SubsetFunction(0, 0, 2, 1, {}), ValueError, "need n >= 1, k >= 0, m >= 1"),
+        (lambda: SubsetFunction(0, 0, 2, 1, {}), ValueError, "n must be >= 1, got 0"),
         (lambda: redweight_find_u([_AND], -1, (1, 1)), ValueError, "k must be >= 0, got -1"),
         (lambda: _normalize(4), ValueError, "base element 4 out of range [0, 4)"),
         (lambda: _normalize(-1), ValueError, "base element -1 out of range [0, 4)"),
@@ -60,9 +60,13 @@ def _normalize(z):
             ValueError,
             "weight cap must be >= 0, got -1",
         ),
-        (lambda: k_factor(0, 2, 1), ValueError, "mu and alpha must be >= 1"),
-        (lambda: loose_weight_bound(0, 2, 4), ValueError, "s and mu must be >= 1"),
-        (lambda: loose_weight_bound(1, 0, 4), ValueError, "s and mu must be >= 1"),
+        (lambda: k_factor(0, 2, 1), ValueError, "mu must be >= 1, got 0"),
+        # explicit ids where a message repeats make_bound_report's, whose ids stay
+        pytest.param(
+            lambda: loose_weight_bound(0, 2, 4), ValueError, "s must be >= 1, got 0",
+            id="loose_weight_bound(0, 2, 4)",
+        ),
+        (lambda: loose_weight_bound(1, 0, 4), ValueError, "mu must be >= 1, got 0"),
         (lambda: loose_weight_bound(1, 2, 0), ValueError, "cardinality must be >= 1, got 0"),
         (lambda: make_bound_report(0, 2, 4), ValueError, "s must be >= 1, got 0"),
         (
@@ -135,7 +139,7 @@ def _normalize(z):
         (
             lambda: SubsetFunction(2, 1.5, 2, 1, {0: (0,), 1: (1,), 2: (0,)}),
             ValueError,
-            "n, k and m must be integers, got (2, 1.5, 1)",
+            "k must be an integer, got 1.5",
         ),
         (
             lambda: SubsetFunction(1, 1, 2.0, 1, {0: (0,), 1: (1,)}),
@@ -161,6 +165,32 @@ def _normalize(z):
             "operations[0] ('f'): arity must be an integer, got 1.0",
         ),
         (lambda: find_malcev(cyclic_group(4), cap=3.5), ValueError, "cap must be an integer, got 3.5"),
+        pytest.param(
+            lambda: loose_weight_bound(1.5, 2, 4), ValueError, "s must be an integer, got 1.5",
+            id="loose_weight_bound(1.5, 2, 4)",
+        ),
+        pytest.param(
+            lambda: loose_weight_bound(True, 2, 4), ValueError, "s must be an integer, got True",
+            id="loose_weight_bound(True, 2, 4)",
+        ),
+        (lambda: k_factor(2.0, 2, 1), ValueError, "mu must be an integer, got 2.0"),
+        (lambda: k_factor(2, 2, 1.5), ValueError, "alpha must be an integer, got 1.5"),
+        # a float or bool mask is not a subset of [n], though it hashes as one
+        (
+            lambda: SubsetFunction(1, 1, 2, 1, {0.0: (0,), 1: (1,)}),
+            ValueError,
+            "values must cover exactly the 2 subsets of size <= 1",
+        ),
+        (
+            lambda: SubsetFunction(1, 1, 2, 1, {False: (0,), True: (1,)}),
+            ValueError,
+            "values must cover exactly the 2 subsets of size <= 1",
+        ),
+        (
+            lambda: check_system(cyclic_group(4), EquationSystem(())),
+            ValueError,
+            "system must contain at least one equation",
+        ),
     ],
 )
 def test_out_of_range_arguments_are_rejected(call, error, message):

@@ -484,6 +484,12 @@ _RED = {"mode": "redweight", "k": 1, "a": [1, 1, 1], "functions": [
         ({**_RED, "functions": [3]}, "functions[0] must be a JSON object"),
         ({**_RED, "functions": [{"arity": 3}]}, "functions[0]: missing field 'domain_size'"),
         ({**_RED, "a": [5, 1, 1]}, "point (5, 1, 1) has a coordinate outside [0, 2)"),
+        # one spelling per mask: "00" would restate mask 0, and a mask is
+        # written in ASCII digits as a term's numbers are
+        ({**_PHI, "n": 1, "phi": {"0": [1], "00": [0], "1": [0]}},
+         "'phi' must be an object of integer lists keyed by mask"),
+        ({**_PHI, "n": 1, "phi": {"0": [0], "\u0661": [1]}},
+         "'phi' must be an object of integer lists keyed by mask"),
     ],
 )
 def test_reduce_witness_rejects_malformed_file(tmp_path, capsys, doc, message):

@@ -82,6 +82,8 @@ def test_comments_and_whitespace_ignored():
     assert parse_term("  add( x1 ,x2 )  ; trailing comment") == App(
         "add", (Var(1), Var(2))
     )
+    # a lone '\r' ends a comment in a term's text as it ends a system's line
+    assert parse_term("add(x1, ; c\rx2)") == App("add", (Var(1), Var(2)))
 
 
 def test_parse_system():

@@ -59,6 +59,8 @@ def test_subset_function_validation():
         make_phi(20000, 20000, 2, {0: 1})
     with pytest.raises(ValueError, match="^values must cover exactly the 3 subsets of size <= 1$"):
         make_phi(2, 1, 2, {0: 1, 1: 0})
+    # a mask is checked by its bit length, never against a 1 << n-sized range
+    assert SubsetFunction(10**12, 0, 2, 1, {0: (0,)}).values == {0: (0,)}
 
 
 def _ks_sum(phi, u):
