@@ -10,16 +10,16 @@ Subsets are bitmasks: bit j-1 stands for coordinate j (1-based).  The
 absorbing element is fixed as index 0 of the domain; relabel before
 tabulating if another element should absorb.
 
-decompose computes every component by one transform and keeps its rows
-as they come: tables[mask] is f_mask's table, and components builds the
-validated TabulatedFunctions only when read.  absorbing_degree is
-decompose(f).degree().  The tests check it against oracles that compute
-from the definition, in tests/oracles.py.
+decompose computes every component by one transform and keeps its array
+as it comes: rows[mask] is f_mask's table.  tables holds the same rows as
+tuples and components as validated TabulatedFunctions, each built only
+when read.  absorbing_degree is decompose(f).degree().  The tests check
+it against oracles that compute from the definition, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -90,12 +90,18 @@ def _transform(f: TabulatedFunction) -> np.ndarray:
 @dataclass(frozen=True)
 class AbsorbingDecomposition:
     """The absorbing components of `function`, one per subset mask of its
-    coordinates: tables[mask] is that component's table, as the transform
-    computed it.  components holds the same tables as TabulatedFunctions,
-    built (and validated) when it is first read."""
+    coordinates: rows[mask] is that component's table, in the read-only
+    (2**n, |A|**n) array the transform computed (int64, or Python ints
+    for a large prime).  rows follows from function, so == and repr leave
+    it out.  tables (tuples of ints) and components (TabulatedFunctions,
+    validated) hold the same tables, each built when it is first read."""
 
     function: TabulatedFunction
-    tables: tuple[tuple[int, ...], ...]
+    rows: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def tables(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     @cached_property
     def components(self) -> dict[int, TabulatedFunction]:
@@ -107,8 +113,8 @@ class AbsorbingDecomposition:
 
     def degree(self) -> int:
         """max |J| with a nonzero component; -1 for the zero function."""
-        nonzero = [mask.bit_count() for mask, table in enumerate(self.tables) if any(table)]
-        return max(nonzero, default=-1)
+        nonzero = np.flatnonzero(self.rows.any(axis=1)).tolist()
+        return max((mask.bit_count() for mask in nonzero), default=-1)
 
     def to_json_dict(self) -> dict:
         """Debug dump: subset bitmask (as string key) -> component table."""
@@ -117,7 +123,7 @@ class AbsorbingDecomposition:
             "arity": self.function.arity,
             "prime": self.function.prime,
             "absorbing_degree": self.degree(),
-            "components": {str(mask): list(table) for mask, table in enumerate(self.tables)},
+            "components": {str(mask): table for mask, table in enumerate(self.rows.tolist())},
         }
 
 
@@ -133,7 +139,9 @@ def decompose(
             f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
             f"exceed the budget of {max_points}"
         )
-    return AbsorbingDecomposition(f, tuple(map(tuple, _transform(f).tolist())))
+    rows = _transform(f)
+    rows.flags.writeable = False
+    return AbsorbingDecomposition(f, rows)
 
 
 def absorbing_degree(

@@ -268,8 +268,13 @@ def parse_json(text: str):
     except json.JSONDecodeError as exc:
         raise AlgebraError(f"invalid JSON: {exc}") from None
     except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
-        limit = sys.get_int_max_str_digits()
-        raise AlgebraError(f"invalid JSON: an integer has more than {limit} digits") from None
+        raise _too_many_digits() from None
+
+
+def _too_many_digits() -> AlgebraError:
+    """The error for an integer in a JSON input that int() will not convert."""
+    limit = sys.get_int_max_str_digits()
+    return AlgebraError(f"invalid JSON: an integer has more than {limit} digits")
 
 
 def json_fields(doc, spec: dict[str, str], where: str = "") -> list:

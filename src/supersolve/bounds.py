@@ -81,6 +81,9 @@ def factorize(cardinality: int) -> list[tuple[int, int]]:
 def k_factor(mu: int, p: int, alpha: int) -> int:
     """Supernilpotency degree bound for one prime-power factor."""
     _check_count("mu", mu, 1)
+    _check_count("p", p, 2)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     _check_count("alpha", alpha, 1)
     return (mu * (p**alpha - 1)) ** (alpha - 1)
 

@@ -28,8 +28,10 @@ import json
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import absorbing, solver, witness
-from .algebra import FiniteAlgebra, json_fields, load_algebra, max_arity, parse_json
+from .algebra import FiniteAlgebra, _too_many_digits, json_fields, load_algebra, max_arity, parse_json
 from .bounds import TheoremViolation, make_bound_report
 from .malcev import DEFAULT_CAP, MalcevNotFound, find_malcev
 from .solver import (
@@ -55,14 +57,56 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _emit(args: argparse.Namespace, doc: dict, human: str | None = None) -> None:
+def _emit(
+    args: argparse.Namespace,
+    doc: dict,
+    human: str | None = None,
+    last: tuple[str, str] | None = None,
+) -> None:
     """Print the human text, or doc as one JSON line behind the schema and
-    command header under --json or when the command has no human text."""
+    command header under --json or when the command has no human text.
+    last, a key and its value already encoded as JSON text, goes in as the
+    document's last member."""
     if human is None or args.json:
         doc = {"schema": SCHEMA, "command": args.command, **doc}
-        print(json.dumps(doc, separators=(",", ":"), sort_keys=False))
+        text = json.dumps(doc, separators=(",", ":"), sort_keys=False)
+        if last is not None:
+            key, value = last
+            text = f"{text[:-1]},{json.dumps(key)}:{value}}}"
+        print(text)
     else:
         print(human)
+
+
+# the byte codes of _json_rows' text: a digit is its value, and the
+# leading zeros of a value narrower than the widest are deleted
+_LEADING_ZERO, _COMMA, _ROW_END = 10, 11, 12
+_CODE_TEXT = bytes.maketrans(bytes([*range(10), _COMMA, _ROW_END]), b"0123456789,]")
+
+
+def _json_rows(rows: np.ndarray) -> str:
+    """The JSON object {"0": rows[0], "1": rows[1], ...} of a 2-D array of
+    non-negative ints (int64 or Python ints), byte for byte as json.dumps
+    writes it with separators (",", ":"), without a Python int per cell.
+    Every value gets one byte per decimal digit of the largest and one for
+    the comma after it; the digits are taken for all values at once,
+    lowest first, each in the narrowest dtype that holds what is left of
+    the largest, so Python ints carry only the digits past 2**64."""
+    top = int(rows.max())
+    width = len(str(top))
+    codes = np.empty(rows.shape + (width + 1,), np.uint8)
+    codes[..., width] = _COMMA
+    codes[:, -1, width] = _ROW_END
+    rest = rows.astype(np.min_scalar_type(top))
+    for k in reversed(range(width)):
+        quotient = rest // 10
+        digit = rest - quotient * 10  # rest % 10, which numpy computes far slower
+        codes[..., k] = digit if k == width - 1 else np.where(rest != 0, digit, _LEADING_ZERO)
+        top //= 10
+        rest = quotient.astype(np.min_scalar_type(top), copy=False)
+    text = codes.tobytes().translate(_CODE_TEXT, bytes([_LEADING_ZERO])).decode("ascii")
+    row_texts = text.split("]")[:-1]
+    return "{" + ",".join(f'"{mask}":[{row}]' for mask, row in enumerate(row_texts)) + "}"
 
 
 _VERDICT_KINDS = {
@@ -196,13 +240,21 @@ def _load_function(raw, where: str = "") -> absorbing.TabulatedFunction:
 def _cmd_absorb(args: argparse.Namespace) -> int:
     f = _load_function(parse_json(_read(args.function)))
     decomposition = absorbing.decompose(f)
-    doc = decomposition.to_json_dict()
-    human = None  # under --json the text would not be printed, so it is not built
-    if not args.json:
-        human = "absorbing degree: {}\n".format(doc["absorbing_degree"]) + "\n".join(
-            f"  {mask}: {table}" for mask, table in doc["components"].items()
+    # decomposition.to_json_dict() without its components, which are
+    # encoded from the transform's array, not from a list per row
+    doc = {
+        "domain_size": f.domain_size,
+        "arity": f.arity,
+        "prime": f.prime,
+        "absorbing_degree": decomposition.degree(),
+    }
+    if args.json:
+        _emit(args, doc, last=("components", _json_rows(decomposition.rows)))
+    else:
+        tables = "\n".join(
+            f"  {mask}: {table}" for mask, table in enumerate(decomposition.rows.tolist())
         )
-    _emit(args, doc, human)
+        _emit(args, doc, f"absorbing degree: {doc['absorbing_degree']}\n{tables}")
     return EXIT_OK
 
 
@@ -217,10 +269,11 @@ def _cmd_reduce_witness(args: argparse.Namespace) -> int:
             "m": "an integer",
             "phi": "an object of integer lists keyed by mask",
         })
-        phi = witness.SubsetFunction(
-            n=n, k=k, p=p, m=m,
-            values={int(mask): tuple(vec) for mask, vec in values.items()},
-        )
+        try:
+            values = {int(mask): tuple(vec) for mask, vec in values.items()}
+        except ValueError:  # a key of ASCII digits past int()'s digit limit
+            raise _too_many_digits() from None
+        phi = witness.SubsetFunction(n=n, k=k, p=p, m=m, values=values)
         u = witness.ks_find_u(phi)
     elif mode == "redweight":
         k, a, raw_fs = json_fields(

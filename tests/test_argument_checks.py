@@ -191,6 +191,8 @@ def _normalize(z):
             ValueError,
             "system must contain at least one equation",
         ),
+        (lambda: k_factor(1, 2.5, 2), ValueError, "p must be an integer, got 2.5"),
+        (lambda: k_factor(1, 4, 2), ValueError, "4 is not prime"),
     ],
 )
 def test_out_of_range_arguments_are_rejected(call, error, message):

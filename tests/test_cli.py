@@ -9,8 +9,9 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersolve import absorbing, bounds, cli, solver, terms, witness
@@ -269,6 +270,50 @@ def test_absorb_builds_only_the_input_function(tmp_path, capsys, monkeypatch):
     assert dec.components is components
 
 
+# an int64 edge, and Python ints past 2**64 as the large-prime transform
+# holds them in an object array
+_ROW_VALUES = st.sampled_from([0, 9, 10, 99, 100, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+_BIG_ROW_VALUES = _ROW_VALUES | st.integers(2**64, 2**90)
+
+
+@st.composite
+def _int_rows(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    big = draw(st.booleans())
+    cells = draw(st.lists(
+        _BIG_ROW_VALUES if big else _ROW_VALUES, min_size=height * width, max_size=height * width
+    ))
+    return np.array(cells, dtype=object if big else np.int64).reshape(height, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_rows())
+@example(np.zeros((1, 1), np.int64))  # the one row of an arity-0 function
+@example(np.zeros((4, 9), np.int64))  # the zero function, degree -1
+@example(np.array([[0], [2**64]], dtype=object))
+def test_json_rows_writes_the_bytes_of_json_dumps(rows):
+    expected = json.dumps(
+        {str(mask): row for mask, row in enumerate(rows.tolist())}, separators=(",", ":")
+    )
+    assert cli._json_rows(rows) == expected
+
+
+@pytest.mark.parametrize(
+    "prime", [2, 11, 2**61 - 1, 18446744073709551557, 1208925819614629174706189]
+)
+def test_absorb_json_is_the_json_dumps_of_the_decomposition(tmp_path, capsys, prime):
+    # 2**61 - 1 runs the transform in int64 (prime << arity < 2**63); the
+    # two primes past 2**63 run it on Python ints, the last with
+    # components past 2**64.  The values spread over [0, prime).
+    table = [(i + 1) ** 3 * 0x9E3779B97F4A7C15**2 % prime for i in range(16)]
+    fn_path = tmp_path / "f.json"
+    fn_path.write_text(json.dumps({"domain_size": 4, "arity": 2, "prime": prime, "table": table}))
+    code, out, err = run_cli(capsys, ["absorb", "--function", str(fn_path), "--json"])
+    f = absorbing.TabulatedFunction(4, 2, prime, tuple(table))
+    doc = {"schema": cli.SCHEMA, "command": "absorb", **absorbing.decompose(f).to_json_dict()}
+    assert (code, out, err) == (0, json.dumps(doc, separators=(",", ":")) + "\n", "")
+
+
 def test_reduce_witness_ks(tmp_path, capsys):
     in_path = tmp_path / "phi.json"
     in_path.write_text(json.dumps({
@@ -490,6 +535,9 @@ _RED = {"mode": "redweight", "k": 1, "a": [1, 1, 1], "functions": [
          "'phi' must be an object of integer lists keyed by mask"),
         ({**_PHI, "n": 1, "phi": {"0": [0], "\u0661": [1]}},
          "'phi' must be an object of integer lists keyed by mask"),
+        # a key past int()'s digit limit reads as the same number would
+        ({**_PHI, "n": 1, "phi": {"0": [0], "1" + "0" * 5000: [1]}},
+         f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"),
     ],
 )
 def test_reduce_witness_rejects_malformed_file(tmp_path, capsys, doc, message):
