@@ -11,10 +11,10 @@ absorbing element is fixed as index 0 of the domain; relabel before
 tabulating if another element should absorb.
 
 decompose computes every component by one transform and keeps its array
-as it comes: rows[mask] is f_mask's table.  tables holds the same rows as
-tuples and components as validated TabulatedFunctions, each built only
-when read.  absorbing_degree is decompose(f).degree().  The tests check
-it against oracles that compute from the definition, in tests/oracles.py.
+as it comes: rows[mask] is f_mask's table.  components holds the same
+rows as validated TabulatedFunctions, built only when read.
+absorbing_degree is decompose(f).degree().  The tests check it against
+oracles that compute from the definition, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import _check_count, _first_outside, table_index, table_length_mismatch
 from .bounds import is_prime
 
-DEFAULT_POINT_BUDGET = 2**20
+POINT_BUDGET = 2**20
 
 
 class TableBudgetError(ValueError):
@@ -93,22 +93,18 @@ class AbsorbingDecomposition:
     coordinates: rows[mask] is that component's table, in the read-only
     (2**n, |A|**n) array the transform computed (int64, or Python ints
     for a large prime).  rows follows from function, so == and repr leave
-    it out.  tables (tuples of ints) and components (TabulatedFunctions,
-    validated) hold the same tables, each built when it is first read."""
+    it out.  components holds the same tables as validated
+    TabulatedFunctions, built when it is first read."""
 
     function: TabulatedFunction
     rows: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
-    def tables(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.rows.tolist()))
-
-    @cached_property
     def components(self) -> dict[int, TabulatedFunction]:
         f = self.function
         return {
-            mask: TabulatedFunction(f.domain_size, f.arity, f.prime, table)
-            for mask, table in enumerate(self.tables)
+            mask: TabulatedFunction(f.domain_size, f.arity, f.prime, tuple(table))
+            for mask, table in enumerate(self.rows.tolist())
         }
 
     def degree(self) -> int:
@@ -116,35 +112,21 @@ class AbsorbingDecomposition:
         nonzero = np.flatnonzero(self.rows.any(axis=1)).tolist()
         return max((mask.bit_count() for mask in nonzero), default=-1)
 
-    def to_json_dict(self) -> dict:
-        """Debug dump: subset bitmask (as string key) -> component table."""
-        return {
-            "domain_size": self.function.domain_size,
-            "arity": self.function.arity,
-            "prime": self.function.prime,
-            "absorbing_degree": self.degree(),
-            "components": {str(mask): table for mask, table in enumerate(self.rows.tolist())},
-        }
 
-
-def decompose(
-    f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
-) -> AbsorbingDecomposition:
+def decompose(f: TabulatedFunction) -> AbsorbingDecomposition:
     """Full absorbing decomposition: one component per subset of [n].  The
-    budget counts 2**n components of |A|**n points each, and at least
-    2**n points each, so that a one-element domain's components count
-    too."""
-    if max(len(f.table), 1 << f.arity) << f.arity > max_points:
+    budget of POINT_BUDGET points counts 2**n components of |A|**n points
+    each, and at least 2**n points each, so that a one-element domain's
+    components count too."""
+    if max(len(f.table), 1 << f.arity) << f.arity > POINT_BUDGET:
         raise TableBudgetError(
             f"2**{f.arity} components of {f.domain_size}**{f.arity} table points "
-            f"exceed the budget of {max_points}"
+            f"exceed the budget of {POINT_BUDGET}"
         )
     rows = _transform(f)
     rows.flags.writeable = False
     return AbsorbingDecomposition(f, rows)
 
 
-def absorbing_degree(
-    f: TabulatedFunction, max_points: int = DEFAULT_POINT_BUDGET
-) -> int:
-    return decompose(f, max_points).degree()
+def absorbing_degree(f: TabulatedFunction) -> int:
+    return decompose(f).degree()

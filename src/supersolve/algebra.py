@@ -196,8 +196,8 @@ def max_arity(alg: FiniteAlgebra) -> int:
     return max((op.arity for op in alg.operations), default=0)
 
 
-def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) -> FiniteAlgebra:
-    """Coordinatewise product; element (x, y) is encoded as x*b.size + y.
+def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
+    """Coordinatewise product AxB; element (x, y) is encoded as x*b.size + y.
 
     Both factors must carry the same signature (op names and arities, in
     order).
@@ -216,7 +216,7 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
         vb = np.asarray(op_b.table).take(table_index((args % b.size).T, b.size))
         table = np.ravel(va * b.size + vb).tolist()
         ops.append(OperationTable(op_a.name, op_a.arity, tuple(table)))
-    return FiniteAlgebra(name or f"{a.name}x{b.name}", size, tuple(ops))
+    return FiniteAlgebra(f"{a.name}x{b.name}", size, tuple(ops))
 
 
 def _is_int(v) -> bool:

@@ -240,8 +240,6 @@ def _load_function(raw, where: str = "") -> absorbing.TabulatedFunction:
 def _cmd_absorb(args: argparse.Namespace) -> int:
     f = _load_function(parse_json(_read(args.function)))
     decomposition = absorbing.decompose(f)
-    # decomposition.to_json_dict() without its components, which are
-    # encoded from the transform's array, not from a list per row
     doc = {
         "domain_size": f.domain_size,
         "arity": f.arity,

@@ -11,12 +11,12 @@ from __future__ import annotations
 from .algebra import FiniteAlgebra, OperationTable, direct_product
 
 
-def cyclic_group(n: int, name: str | None = None) -> FiniteAlgebra:
+def cyclic_group(n: int) -> FiniteAlgebra:
     """Z_n with add/neg/zero."""
     add = tuple((a + b) % n for a in range(n) for b in range(n))
     neg = tuple((-a) % n for a in range(n))
     return FiniteAlgebra(
-        name or f"Z{n}",
+        f"Z{n}",
         n,
         (
             OperationTable("add", 2, add),
@@ -28,7 +28,7 @@ def cyclic_group(n: int, name: str | None = None) -> FiniteAlgebra:
 
 def klein_four() -> FiniteAlgebra:
     """Z2 x Z2; element (x, y) encoded as 2x + y."""
-    return direct_product(cyclic_group(2), cyclic_group(2), name="Z2xZ2")
+    return direct_product(cyclic_group(2), cyclic_group(2))
 
 
 def _group_from_mul(name: str, size: int, mul) -> FiniteAlgebra:

@@ -98,6 +98,9 @@ class EquationSystem:
     def __post_init__(self):
         if not self.equations:
             raise ValueError("system must contain at least one equation")
+        for k, eq in enumerate(self.equations):
+            if len(eq) != 2:
+                raise ValueError(f"equation {k} must have two sides, got {len(eq)}")
 
     @property
     def s(self) -> int:
@@ -191,10 +194,10 @@ def _parse(text: str, pos: int, end: int, line: int | None, intern, leaves: dict
             raise ParseError(message, _at(m), line)
 
 
-def parse_term(text: str, line: int | None = None) -> Term:
+def parse_term(text: str) -> Term:
     """Parse a single term; the whole input must be consumed."""
     intern, done = _interner()
-    root = _parse(text, 0, len(text), line, intern, {})
+    root = _parse(text, 0, len(text), None, intern, {})
     return done([root]).nodes[root][0]
 
 
@@ -278,7 +281,7 @@ def format_system(system: EquationSystem) -> str:
 def check_node(alg: FiniteAlgebra, t: Term) -> None:
     """The checks on one node that need no assignment: an application's
     operation exists and takes that many arguments, a variable's index is
-    1-based, a constant lies in the carrier."""
+    1-based, a constant lies in the carrier, and nothing else is a term."""
     if isinstance(t, App):
         op = alg.operation(t.op)
         if len(t.args) != op.arity:
@@ -287,6 +290,8 @@ def check_node(alg: FiniteAlgebra, t: Term) -> None:
             )
     elif isinstance(t, Var):
         _check_count("variable index", t.index, 1, EvalError)
+    elif not isinstance(t, Const):
+        raise EvalError(f"{t!r} is not a term")
     elif not _in_range(t.value, alg.size):
         raise EvalError(f"constant #{t.value} out of range [0, {alg.size})")
 

@@ -2,7 +2,8 @@
 
 None of these is called by the package: the bounded scan's canonical
 order as a plain generator, the paper's Mal'cev normalization, the
-absorbing components and degree computed from their definition, an exact
+absorbing components and degree computed from their definition, the
+absorb document as a dict of Python ints for json.dumps, an exact
 decision procedure for linear systems over Z_m and over Z2 x Z2, and a
 reference parser of system files that reads one token at a time and
 builds a fresh tree per term.
@@ -11,7 +12,12 @@ builds a fresh tree per term.
 from itertools import combinations, product
 from math import gcd
 
-from supersolve.absorbing import TabulatedFunction, _tensor, restrict_vector
+from supersolve.absorbing import (
+    AbsorbingDecomposition,
+    TabulatedFunction,
+    _tensor,
+    restrict_vector,
+)
 from supersolve.algebra import FiniteAlgebra
 from supersolve.malcev import TernaryFunctionTable, is_malcev
 from supersolve.terms import _TOKEN, App, Const, EquationSystem, ParseError, Term, Var, fold
@@ -122,6 +128,18 @@ def is_absorbing_in(f: TabulatedFunction, mask: int) -> bool:
         elif not (t == t.take([0], axis=j)).all():
             return False
     return True
+
+
+def decomposition_doc(dec: AbsorbingDecomposition) -> dict:
+    """The absorb document's fields: subset bitmask (as string key) ->
+    component table, from a list per row, as json.dumps takes it."""
+    return {
+        "domain_size": dec.function.domain_size,
+        "arity": dec.function.arity,
+        "prime": dec.function.prime,
+        "absorbing_degree": dec.degree(),
+        "components": {str(mask): table for mask, table in enumerate(dec.rows.tolist())},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,12 @@ from supersolve.absorbing import (
 )
 from supersolve.algebra import table_index
 
-from oracles import absorbing_degree_by_definition, component_moebius, is_absorbing_in
+from oracles import (
+    absorbing_degree_by_definition,
+    component_moebius,
+    decomposition_doc,
+    is_absorbing_in,
+)
 
 AND = TabulatedFunction(2, 2, 2, (0, 0, 0, 1))
 XOR = TabulatedFunction(2, 2, 2, (0, 1, 1, 0))
@@ -137,19 +142,20 @@ def test_uniqueness_perturbation_breaks_an_invariant():
 
 
 def test_budget_refused():
-    f = TabulatedFunction(2, 4, 2, (0,) * 16)
+    # 2**11 components of 2**11 points: 2**22, past the budget of 2**20
+    f = TabulatedFunction(2, 11, 2, (0,) * 2**11)
     with pytest.raises(TableBudgetError):
-        decompose(f, max_points=8)
+        decompose(f)
     with pytest.raises(TableBudgetError):
-        absorbing_degree(f, max_points=8)
+        absorbing_degree(f)
 
 
 def test_budget_counts_every_component():
-    # 2**4 components of 16 points: 256 points, refused below that
-    f = TabulatedFunction(2, 4, 2, (0,) * 16)
-    decompose(f, max_points=256)
-    with pytest.raises(TableBudgetError):
-        decompose(f, max_points=255)
+    # 2**10 components of 2**10 points: exactly the budget of 2**20
+    decompose(TabulatedFunction(2, 10, 2, (0,) * 2**10))
+    # 2**8 components of 3**8 points: 1,679,616, past it
+    with pytest.raises(TableBudgetError, match=r"^2\*\*8 components of 3\*\*8 table points"):
+        decompose(TabulatedFunction(3, 8, 2, (0,) * 3**8))
     # a one-element domain has one point but still 2**n components
     decompose(TabulatedFunction(1, 10, 2, (1,)))
     with pytest.raises(TableBudgetError, match=r"^2\*\*11 components"):
@@ -191,7 +197,7 @@ def test_decomposition_with_a_prime_beyond_int64():
 
 
 def test_decomposition_golden_dump():
-    dump = decompose(AND).to_json_dict()
+    dump = decomposition_doc(decompose(AND))
     assert dump == {
         "domain_size": 2,
         "arity": 2,

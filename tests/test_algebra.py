@@ -19,7 +19,7 @@ from supersolve.algebra import (
     table_index,
     table_length_mismatch,
 )
-from supersolve.groups import cyclic_group
+from supersolve.groups import cyclic_group, klein_four
 
 Z4_FILE = """
 {
@@ -116,6 +116,8 @@ def test_direct_product_encoding(z2, z3):
     assert z6.size == 6
     # (1,2) + (1,2) = (0,1), encoded 0*3 + 1
     assert apply_op(z6, "add", [5, 5]) == 1
+    # the name every K4 output carries
+    assert klein_four().name == "Z2xZ2"
 
 
 def test_direct_product_signature_mismatch(z2, lattice):

@@ -191,6 +191,17 @@ def _normalize(z):
             ValueError,
             "system must contain at least one equation",
         ),
+        # a third side would pair the node table's roots across equations
+        (
+            lambda: EquationSystem(((Var(1), Const(1), Const(2)), (Const(0), Const(0)))),
+            ValueError,
+            "equation 0 must have two sides, got 3",
+        ),
+        (
+            lambda: EquationSystem(((Const(0), Const(0)), (Var(1),))),
+            ValueError,
+            "equation 1 must have two sides, got 1",
+        ),
         (lambda: k_factor(1, 2.5, 2), ValueError, "p must be an integer, got 2.5"),
         (lambda: k_factor(1, 4, 2), ValueError, "4 is not prime"),
     ],
@@ -210,6 +221,8 @@ def test_out_of_range_arguments_are_rejected(call, error, message):
         (Const(True), "constant #True out of range [0, 4)"),
         (Var(1.5), "variable index must be an integer, got 1.5"),
         (Var(True), "variable index must be an integer, got True"),
+        (1, "1 is not a term"),
+        (App("add", (Var(1), 2)), "2 is not a term"),
     ],
 )
 def test_non_integer_leaves_are_input_errors(entry, lhs, message):

@@ -19,6 +19,8 @@ from supersolve.algebra import render_algebra
 from supersolve.groups import cyclic_group, two_element_lattice
 from supersolve.witness import TheoremViolation
 
+from oracles import decomposition_doc
+
 
 @pytest.fixture
 def z4_file(tmp_path):
@@ -259,12 +261,12 @@ def test_absorb_builds_only_the_input_function(tmp_path, capsys, monkeypatch):
     f = absorbing.TabulatedFunction(2, 4, 3, tuple(table))
     dec = absorbing.decompose(f)
     assert json.loads(out)["components"] == {
-        str(mask): list(row) for mask, row in enumerate(dec.tables)
+        str(mask): row for mask, row in enumerate(dec.rows.tolist())
     }
     components = dec.components
     assert components == {
-        mask: absorbing.TabulatedFunction(f.domain_size, f.arity, f.prime, row)
-        for mask, row in enumerate(dec.tables)
+        mask: absorbing.TabulatedFunction(f.domain_size, f.arity, f.prime, tuple(row))
+        for mask, row in enumerate(dec.rows.tolist())
     }
     assert list(components) == list(range(16))
     assert dec.components is components
@@ -310,7 +312,7 @@ def test_absorb_json_is_the_json_dumps_of_the_decomposition(tmp_path, capsys, pr
     fn_path.write_text(json.dumps({"domain_size": 4, "arity": 2, "prime": prime, "table": table}))
     code, out, err = run_cli(capsys, ["absorb", "--function", str(fn_path), "--json"])
     f = absorbing.TabulatedFunction(4, 2, prime, tuple(table))
-    doc = {"schema": cli.SCHEMA, "command": "absorb", **absorbing.decompose(f).to_json_dict()}
+    doc = {"schema": cli.SCHEMA, "command": "absorb", **decomposition_doc(absorbing.decompose(f))}
     assert (code, out, err) == (0, json.dumps(doc, separators=(",", ":")) + "\n", "")
 
 
