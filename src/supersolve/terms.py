@@ -99,8 +99,12 @@ class EquationSystem:
         if not self.equations:
             raise ValueError("system must contain at least one equation")
         for k, eq in enumerate(self.equations):
-            if len(eq) != 2:
-                raise ValueError(f"equation {k} must have two sides, got {len(eq)}")
+            try:
+                sides = len(eq)
+            except TypeError:
+                raise ValueError(f"equation {k} must be a sequence of two sides, got {eq!r}") from None
+            if sides != 2:
+                raise ValueError(f"equation {k} must have two sides, got {sides}")
 
     @property
     def s(self) -> int:
@@ -109,9 +113,17 @@ class EquationSystem:
     @cached_property
     def table(self) -> NodeTable:
         intern, done = _interner()
+
+        def leaf(t) -> int:
+            try:
+                hash(t)
+            except TypeError:  # no term is unhashable, and interning keys by hash
+                raise EvalError(f"{t!r} is not a term") from None
+            return intern(t)
+
         return done(fold(
             [t for eq in self.equations for t in eq],
-            lambda t, args: intern((t.op, *args), t) if isinstance(t, App) else intern(t),
+            lambda t, args: intern((t.op, *args), t) if isinstance(t, App) else leaf(t),
         ))
 
     @cached_property

@@ -202,6 +202,7 @@ def _normalize(z):
             ValueError,
             "equation 1 must have two sides, got 1",
         ),
+        (lambda: EquationSystem((5,)), ValueError, "equation 0 must be a sequence of two sides, got 5"),
         (lambda: k_factor(1, 2.5, 2), ValueError, "p must be an integer, got 2.5"),
         (lambda: k_factor(1, 4, 2), ValueError, "4 is not prime"),
     ],
@@ -223,6 +224,9 @@ def test_out_of_range_arguments_are_rejected(call, error, message):
         (Var(True), "variable index must be an integer, got True"),
         (1, "1 is not a term"),
         (App("add", (Var(1), 2)), "2 is not a term"),
+        # an unhashable leaf is refused before the node table interns it
+        ([1], "[1] is not a term"),
+        (App("add", (Var(1), [1])), "[1] is not a term"),
     ],
 )
 def test_non_integer_leaves_are_input_errors(entry, lhs, message):

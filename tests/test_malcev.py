@@ -264,6 +264,8 @@ def _higher_arity_algebras():
         # before f's tables unless it equals the seed #1, and b() = a() never joins
         algebra("nullary3", 3, ("a", 0, lambda: 1), ("f", 2, lambda x, y: (x + 2 * y) % 3),
                 ("b", 0, lambda: 1)),
+        # one binary operation applies a single order of each argument pair, the other both
+        algebra("comm3", 3, ("c", 2, lambda x, y: (x * y + x + y) % 3), ("d", 2, lambda x, y: (2 * x + y * y) % 3)),
     ]
 
 
@@ -296,6 +298,46 @@ def test_arg_tuples_are_the_filtered_product(snapshot, arity, lo, rows):
     product = itertools.product(range(snapshot), repeat=arity)
     expected = [c for c in product if max(c, default=0) >= lo]
     assert [tuple(c) for b in batches for c in b.tolist()] == expected
+
+
+@pytest.mark.parametrize("snapshot, arity, lo, rows, ordered", [
+    (5, 0, 0, 10, ()), (5, 0, 2, 10, ()), (6, 1, 2, 4, ()), (6, 1, 0, 1, ()),
+    # a last pair, from runs and from the filtered product
+    (7, 2, 0, 10, (0,)), (7, 2, 4, 1, (0,)), (4, 2, 1, 100, (0,)),
+    # inner pairs, and pairs of both kinds
+    (5, 4, 3, 17, (0,)), (5, 4, 3, 17, (1,)), (5, 4, 0, 7, (2,)), (5, 4, 2, 1, (1, 2)),
+    (4, 4, 1, 30, (0, 1, 2)), (5, 4, 2, 1000, (0, 2)),
+])
+def test_arg_tuples_keep_one_order_of_each_ordered_pair(snapshot, arity, lo, rows, ordered):
+    batches = list(_arg_tuples(snapshot, arity, lo, rows, ordered))
+    assert all(b.dtype == np.intp and b.shape[1] == arity and 0 < len(b) <= rows for b in batches)
+    expected = [
+        c for c in itertools.product(range(snapshot), repeat=arity)
+        if max(c, default=0) >= lo and all(c[t] <= c[t + 1] for t in ordered)
+    ]
+    assert [tuple(c) for b in batches for c in b.tolist()] == expected
+
+
+@pytest.mark.parametrize("name, constants, applied", [
+    ("Z4", False, 2145), ("Z6", False, 23653), ("Z6", True, 841753),
+])
+def test_clone_applies_one_order_of_each_symmetric_pair(monkeypatch, name, constants, applied):
+    # add is commutative, so about half of the tuples that touch the new
+    # layer are left out (4,161, 46,873 and 1,680,913 when all are applied)
+    import supersolve.malcev as malcev
+
+    arg_tuples, counts = malcev._arg_tuples, []
+    monkeypatch.setattr(malcev, "_arg_tuples", lambda *args: (
+        counts.append(len(b)) or b for b in arg_tuples(*args)
+    ))
+    ternary_term_clone(_ALGEBRAS[name](), include_constants=constants)
+    assert sum(counts) == applied
+
+
+@pytest.mark.parametrize("constants", [False, True])
+def test_find_malcev_over_one_element_is_x1(constants):
+    alg = FiniteAlgebra("one", 1, (OperationTable("f", 2, (0,)),))
+    assert find_malcev(alg, include_constants=constants) == TernaryFunctionTable(1, (0,), Var(1))
 
 
 def _lazy_product(n, r):
