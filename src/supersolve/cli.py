@@ -84,6 +84,21 @@ _LEADING_ZERO, _COMMA, _ROW_END = 10, 11, 12
 _CODE_TEXT = bytes.maketrans(bytes([*range(10), _COMMA, _ROW_END]), b"0123456789,]")
 
 
+def _big_digits(codes: np.ndarray, rows: np.ndarray, top: int) -> None:
+    """_json_rows' codes for Python ints past 2**64, cut once into 19-digit
+    parts in uint64, lowest first: a part's zero leads where those above are 0."""
+    width = stop = codes.shape[-1]
+    while stop:
+        part, rows, top = (rows % 10**19, rows // 10**19, top // 10**19) if top >= 10**19 else (rows, 0, 0)
+        part, high = part.astype(np.uint64), rows != 0
+        for k in reversed(range(max(stop - 19, 0), stop)):
+            quotient = part // 10
+            digit = part - quotient * 10
+            codes[..., k] = digit if k == width - 1 else np.where((part > 0) | high, digit, _LEADING_ZERO)
+            part = quotient
+        stop = k
+
+
 def _json_rows(rows: np.ndarray) -> str:
     """The JSON object {"0": rows[0], "1": rows[1], ...} of a 2-D array of
     non-negative ints (int64 or Python ints), byte for byte as json.dumps
@@ -91,19 +106,22 @@ def _json_rows(rows: np.ndarray) -> str:
     Every value gets one byte per decimal digit of the largest and one for
     the comma after it; the digits are taken for all values at once,
     lowest first, each in the narrowest dtype that holds what is left of
-    the largest, so Python ints carry only the digits past 2**64."""
+    the largest; Python ints past 2**64 are split once into uint64 parts."""
     top = int(rows.max())
     width = len(str(top))
     codes = np.empty(rows.shape + (width + 1,), np.uint8)
     codes[..., width] = _COMMA
     codes[:, -1, width] = _ROW_END
-    rest = rows.astype(np.min_scalar_type(top))
-    for k in reversed(range(width)):
-        quotient = rest // 10
-        digit = rest - quotient * 10  # rest % 10, which numpy computes far slower
-        codes[..., k] = digit if k == width - 1 else np.where(rest != 0, digit, _LEADING_ZERO)
-        top //= 10
-        rest = quotient.astype(np.min_scalar_type(top), copy=False)
+    if top >> 64:
+        _big_digits(codes[..., :width], rows, top)
+    else:
+        rest = rows.astype(np.min_scalar_type(top))
+        for k in reversed(range(width)):
+            quotient = rest // 10
+            digit = rest - quotient * 10  # rest % 10, which numpy computes far slower
+            codes[..., k] = digit if k == width - 1 else np.where(rest != 0, digit, _LEADING_ZERO)
+            top //= 10
+            rest = quotient.astype(np.min_scalar_type(top), copy=False)
     text = codes.tobytes().translate(_CODE_TEXT, bytes([_LEADING_ZERO])).decode("ascii")
     row_texts = text.split("]")[:-1]
     return "{" + ",".join(f'"{mask}":[{row}]' for mask, row in enumerate(row_texts)) + "}"

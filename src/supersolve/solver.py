@@ -19,22 +19,23 @@ distinct node once and, for the bounded scan, folds it in place; the nodes
 that the roots reach are then laid out once, each freed at its last reader.
 
 A system's value depends only on the variables V it mentions, so the
-scans build only V's columns.  The bounded scan first folds the constant
-one-variable subterms: a node that reads at most one variable is
-tabulated over A, and one that takes a single value c becomes #c, as
-mul(x7, inv(x7)) does in a group, so that what it read is no longer
-reached.  What is left reads only V' within V, and the bounded scan
-builds only the columns of V'; brute, the oracle, keeps the unfolded
-terms over V.  Each row's f, the index of the first equation it fails,
-comes from one evaluator of numpy table gathers: each reached node once
-per chunk, each equation on the rows still satisfied.
+scans build only V's columns.  The bounded scan first folds each node
+that reads at most one variable, tabulated over A: one that takes a
+single value c becomes #c, as mul(x7, inv(x7)) does in a group, and any
+other but an operation applied to the variable itself becomes one gather
+of its values at that variable, so what it read is no longer reached.
+What is left reads only V' within V, and the bounded scan builds only
+the columns of V'; brute, the oracle, keeps the unfolded terms over V.
+Each row's f, the index of the first equation it fails, comes from one
+evaluator of numpy table gathers: each reached node once per chunk, each
+equation on the rows still satisfied.
 The bounded scan generates only the supports inside V': when the layers
 below w hold no solution, a solving row of layer w lies inside V', or
 resetting it to z outside V' would give a lighter solution.  Every other
 row costs what its projection onto V' costs, so it is counted in closed
 form, with the tree sizes of the original terms.  The first solution has
 the base value (z, or 0 for brute) outside the scanned columns and is
-re-verified through the plain evaluator on the original terms.  Brute
+re-verified by a scalar evaluator over the unfolded node table.  Brute
 counts nothing: it evaluates every row of A^n, restricted to V's
 columns.  Chunks of both scans are capped by cells of the columns they
 hold as well as by rows, and a bounded chunk may span weight layers, so
@@ -58,7 +59,8 @@ import numpy as np
 from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_index
 from .algebra import _check_count, _in_range
 from .bounds import TheoremViolation, make_bound_report
-from .terms import Const, EquationSystem, Var, check_node, eval_term
+from .terms import Const, EquationSystem, Var, check_node, eval_table
+from .terms import eval_term  # noqa: F401  bench/tracing.py wraps supersolve.solver.eval_term
 
 _CHUNK = 1 << 16
 
@@ -182,14 +184,15 @@ def _weight_chunks(w: int, size: int, z: int, cols, chunk: int = _CHUNK):
 
 def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
     """Check the system's node table as check_system does and, if fold, fold
-    its constant one-variable subterms in the same forward pass; then lay out
-    the nodes that the roots reach.
+    its one-variable subterms in the same forward pass; then lay out the
+    nodes that the roots reach.
 
     Each node is checked before the fold reads it.  The fold tabulates each
-    node that reads at most one variable over A, from its arguments' values,
-    and turns an application whose values are all one element c into
-    (Const(c), ()) at its own id (a nullary one is evaluated as a constant
-    already); what a folded node read stays in place, unreached.
+    node that reads at most one variable over A, from its arguments' values.
+    At its own id, an application whose values are all one element c becomes
+    (Const(c), ()) (a nullary one is evaluated as a constant already), and
+    any other but one operation applied to its variable x becomes a gather,
+    (its values, (x's id,)); what a folded node read stays, unreached.
 
     Returns the nodes as (term, arg ids); per equation (lhs id, rhs id, tree
     size of its original terms, todo), todo being the reached ids it computes
@@ -199,7 +202,7 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
     nodes, roots, sizes = system.table
     nodes, size = list(nodes), alg.size
     tables = {op.name: op.table for op in alg.operations}
-    reads = []  # per node: the variable it reads, 0 for none, -1 for several
+    reads = []  # per node: 1 + the id of the variable it reads, 0 for none, -1 for several
     values = []  # per node reading at most one variable: its values over A
     for i, (t, args) in enumerate(nodes):
         check_node(alg, t)
@@ -207,7 +210,7 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
             continue
         v, col = 0, None
         if isinstance(t, Var):
-            v, col = t.index, range(size)
+            v, col = i + 1, range(size)
         elif isinstance(t, Const):
             col = (t.value,) * size
         else:
@@ -222,11 +225,12 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
                 index = values[args[0]] if args else (0,) * size
                 for a in args[1:]:
                     index = [j * size + x for j, x in zip(index, values[a])]
-                table = tables[t.op]
-                col = [table[j] for j in index]
+                col = list(map(tables[t.op].__getitem__, index))
                 if args and col.count(col[0]) == size:
                     nodes[i] = (Const(col[0]), ())
                     v = 0
+                elif v and args != (v - 1,):
+                    nodes[i] = (tuple(col), (v - 1,))
         reads.append(v)
         values.append(col)
     reached = [False] * len(nodes)
@@ -255,14 +259,16 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
 
 
 def _evaluator(alg: FiniteAlgebra, planned):
-    """The function from a chunk X of the columns cols of planned, the
-    system's _plan, to each row's f (s if the row fails no equation): it
-    gathers over the reached nodes of planned, each once, each equation
-    on the rows that satisfied those before it, and drops each value at
-    its last reader, so a chunk holds the walk's frontier, not the term."""
+    """The function from a chunk X of planned's columns cols to each row's f
+    (s if it fails no equation): it gathers over planned's reached nodes,
+    each once (a fold's gathers from one array), each equation on the rows
+    that satisfied those before it, and drops each value at its last reader,
+    so a chunk holds the walk's frontier."""
     dtype = carrier_dtype(alg.size)
     tables = {op.name: np.asarray(op.table, dtype=dtype) for op in alg.operations}
     nodes, plan, frees, cols = planned
+    gathers = [i for *_, todo in plan for i in todo if type(nodes[i][0]) is tuple]
+    tables.update(zip(gathers, np.array([nodes[i][0] for i in gathers], dtype)))
     fdtype = np.min_scalar_type(len(plan))
     at = {c + 1: j for j, c in enumerate(cols)}  # each variable's column
 
@@ -278,9 +284,10 @@ def _evaluator(alg: FiniteAlgebra, planned):
                     values[i] = X[sel, at[t.index]]
                 elif isinstance(t, Const):
                     values[i] = np.full(live, t.value, dtype)
+                elif type(t) is tuple:
+                    values[i] = tables[i].take(values[args[0]])
                 elif args:
-                    index = table_index([values[a] for a in args], alg.size)
-                    values[i] = tables[t.op].take(index)
+                    values[i] = tables[t.op].take(table_index([values[a] for a in args], alg.size))
                 else:
                     values[i] = np.full(live, tables[t.op][0], dtype)
                 for a in frees.get(i, ()):
@@ -388,14 +395,15 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
 
 def _found(alg, system, cols, base: int, row) -> SolutionFound:
     """row's values at the coordinates cols and base at every other one,
-    re-checked independently through the plain evaluator."""
+    re-checked independently by eval_table over the unfolded node table."""
     try:
         a = [base] * system.n
     except (MemoryError, OverflowError):
         raise ValueError(f"cannot build an assignment of n = {system.n} variables") from None
     for c, v in zip(cols, row.tolist()):
         a[c] = v
-    if not all(eval_term(alg, lhs, a) == eval_term(alg, rhs, a) for lhs, rhs in system.equations):
+    values, roots = eval_table(alg, system.table, a), system.table.roots
+    if any(values[lhs] != values[rhs] for lhs, rhs in zip(roots[::2], roots[1::2])):
         raise TheoremViolation(f"candidate {tuple(a)} failed re-verification")
     return SolutionFound(tuple(a), verified=True)
 

@@ -57,13 +57,13 @@ Term = Var | Const | App
 class NodeTable(NamedTuple):
     """The hash-consed terms of a system, interned as parse_system completes
     them, or by one fold on the first read of EquationSystem.table of a
-    system built in code: a leaf is keyed by itself and an application by
-    (op, arg ids), so equal subterms share one node.  nodes holds each
-    distinct node as (term, arg ids) in post-order of first occurrence,
-    roots the ids of lhs_1, rhs_1, lhs_2, ... and sizes each node's tree
-    size, as term_length counts it.  Nodes with one key get the same checks
-    from check_node, so checking them in table order meets the first faulty
-    node of a post-order walk over the trees."""
+    system built in code: a leaf is keyed by itself (an unhashable one by a
+    key of its own) and an application by (op, arg ids), so equal subterms
+    share one node.  nodes holds each distinct node as (term, arg ids) in
+    post-order of first occurrence, roots the ids of lhs_1, rhs_1, lhs_2, ...
+    and sizes each node's tree size, as term_length counts it.  Nodes with
+    one key get the same checks from check_node, so checking them in table
+    order meets the first faulty node of a post-order walk over the trees."""
 
     nodes: tuple[tuple[Term, tuple[int, ...]], ...]
     roots: tuple[int, ...]
@@ -114,17 +114,13 @@ class EquationSystem:
     def table(self) -> NodeTable:
         intern, done = _interner()
 
-        def leaf(t) -> int:
+        def node(t, args) -> int:
             try:
-                hash(t)
-            except TypeError:  # no term is unhashable, and interning keys by hash
-                raise EvalError(f"{t!r} is not a term") from None
-            return intern(t)
+                return intern((t.op, *args), t) if isinstance(t, App) else intern(t)
+            except TypeError:  # unhashable: a key of its own, so check_node refuses it in turn
+                return intern(object(), t)
 
-        return done(fold(
-            [t for eq in self.equations for t in eq],
-            lambda t, args: intern((t.op, *args), t) if isinstance(t, App) else leaf(t),
-        ))
+        return done(fold([t for eq in self.equations for t in eq], node))
 
     @cached_property
     def n(self) -> int:
@@ -327,6 +323,24 @@ def eval_term(alg: FiniteAlgebra, t: Term, assignment) -> int:
         return v
 
     return fold([t], visit)[0]
+
+
+def eval_table(alg: FiniteAlgebra, table: NodeTable, assignment) -> list[int]:
+    """Each node's value, in table order, for nodes that check_node passed, at an
+    assignment of n or more values: one lookup per distinct node, each variable's in range."""
+    tables, size, values = {op.name: op.table for op in alg.operations}, alg.size, []
+    for t, args in table.nodes:
+        if isinstance(t, App):
+            v = 0  # the row-major index of its arguments' values, as table_index computes it
+            for a in args:
+                v = v * size + values[a]
+            v = tables[t.op][v]
+        elif isinstance(t, Const):
+            v = t.value
+        elif not _in_range(v := assignment[t.index - 1], size):
+            raise EvalError(f"x{t.index} = {v!r} out of range [0, {size})")
+        values.append(v)
+    return values
 
 
 def term_length(t: Term) -> int:

@@ -224,9 +224,10 @@ def test_out_of_range_arguments_are_rejected(call, error, message):
         (Var(True), "variable index must be an integer, got True"),
         (1, "1 is not a term"),
         (App("add", (Var(1), 2)), "2 is not a term"),
-        # an unhashable leaf is refused before the node table interns it
+        # an unhashable leaf gets a node table entry of its own, which check_node refuses
         ([1], "[1] is not a term"),
         (App("add", (Var(1), [1])), "[1] is not a term"),
+        (Var([1]), "variable index must be an integer, got [1]"),
     ],
 )
 def test_non_integer_leaves_are_input_errors(entry, lhs, message):

@@ -300,6 +300,20 @@ def test_json_rows_writes_the_bytes_of_json_dumps(rows):
     assert cli._json_rows(rows) == expected
 
 
+@pytest.mark.parametrize("prime", [2**61 - 1, 1208925819614629174706189, 2**200 - 1])
+def test_json_rows_of_values_spread_below_a_prime(prime):
+    # below 2**64 the values take the uint64 digit loop, past it 19-digit
+    # parts: the zeros inside a part, and a part of zeros under a higher one
+    spread = [(i + 1) ** 5 * 0x9E3779B97F4A7C15**3 for i in range(43)]
+    values = [0, 7, 10**19 - 1, 10**19, 7 * 10**19 + 5, *spread]
+    rows = np.array([v % prime for v in values], dtype=object).reshape(6, 8)
+    expected = json.dumps(
+        {str(mask): row for mask, row in enumerate(rows.tolist())}, separators=(",", ":")
+    )
+    for dtype in (object, np.int64) if prime < 2**63 else (object,):
+        assert cli._json_rows(rows.astype(dtype)) == expected
+
+
 @pytest.mark.parametrize(
     "prime", [2, 11, 2**61 - 1, 18446744073709551557, 1208925819614629174706189]
 )
@@ -389,8 +403,8 @@ def test_theorem_violation_exit_code(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "module, name, fake, command, message",
     [
-        # the two sides of each equation evaluate differently
-        (solver, "eval_term", lambda alg, t, a: id(t), "solve",
+        # each node evaluates to its id, so the two sides of each equation differ
+        (solver, "eval_table", lambda alg, table, a: range(len(table.nodes)), "solve",
          "candidate (1,) failed re-verification"),
         (bounds, "loose_weight_bound", lambda s, mu, cardinality: 0, "bound",
          "tight bound 12 exceeds loose bound 0; bound arithmetic is broken"),
@@ -431,7 +445,7 @@ def test_a_witness_search_fault_exits_3_with_one_line(tmp_path, capsys, monkeypa
 
 
 def test_a_failed_re_verification_raises_theorem_violation(monkeypatch):
-    monkeypatch.setattr(solver, "eval_term", lambda alg, t, a: id(t))
+    monkeypatch.setattr(solver, "eval_table", lambda alg, table, a: range(len(table.nodes)))
     with pytest.raises(TheoremViolation) as info:
         solver.solve_bounded(cyclic_group(4), terms.parse_system("add(x1, x1) = #2\n"))
     # library callers that catch RuntimeError still catch it
@@ -979,8 +993,8 @@ def test_a_commented_out_equation_stays_out(tmp_path, capsys, z4_file):
 def test_solve_walks_each_term_once_for_n(tmp_path, capsys, monkeypatch, z4_file):
     # parse_system builds the node table that check_system, the JSON
     # document's n and the solver's plan all read, so no fold walks the
-    # trees for it; a found solution adds only the re-verification's
-    # eval_term walk of each side
+    # trees for it, nor does the re-verification of a found solution,
+    # which evaluates that table
     walks = []
     original = terms.fold
 
@@ -1000,8 +1014,7 @@ def test_solve_walks_each_term_once_for_n(tmp_path, capsys, monkeypatch, z4_file
         )
         assert (code, err) == (0 if satisfiable else 1, "")
         assert json.loads(out)["n"] == 3
-        sides = [t for eq in terms.parse_system(text).equations for t in eq]
-        assert walks == ([[t] for t in sides] if satisfiable else [])
+        assert walks == []
 
 
 def test_solve_checks_each_distinct_node_at_the_boundary_and_in_the_plan(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from supersolve.algebra import AlgebraError, digits, max_arity
+from supersolve.algebra import AlgebraError, FiniteAlgebra, OperationTable, digits, max_arity
 from supersolve.bounds import make_bound_report
 from supersolve.groups import cyclic_group, dihedral_group
 from supersolve.malcev import find_malcev
@@ -26,6 +26,7 @@ from supersolve.terms import (
     EvalError,
     Var,
     check_system,
+    eval_table,
     eval_term,
     parse_system,
     term_length,
@@ -973,15 +974,27 @@ def _assert_layout(alg, system, fold):
     table = system.table
     nodes, plan, frees, cols = solver._plan(alg, system, fold=fold)
     folded = {i for i, node in enumerate(nodes) if node != table.nodes[i]}
-    assert all(isinstance(nodes[i][0], Const) and not nodes[i][1] for i in folded)
     assert all(table.nodes[i][1] for i in folded) and (fold or not folded)
-    # the nodes on a path to a root that passes through no folded node
+    for i in folded:
+        t, args = nodes[i]
+        if type(t) is tuple:
+            # a gather from one variable's column, of the node's values over A
+            # (what else it reads folds away), in place of an application that
+            # is not that of one operation to the variable
+            (v,) = args
+            assert isinstance(table.nodes[v][0], Var) and table.nodes[i][1] != args
+            term = table.nodes[i][0]
+            assert t == tuple(eval_term(alg, term, [a] * system.n) for a in range(alg.size))
+            assert len(set(t)) > 1
+        else:
+            assert isinstance(t, Const) and not args
+    # the nodes on a path to a root that passes through the plan's nodes
     reached, stack = set(), list(table.roots)
     while stack:
         i = stack.pop()
         if i not in reached:
             reached.add(i)
-            stack.extend(() if i in folded else table.nodes[i][1])
+            stack.extend(nodes[i][1])
     order, computed, uses = [], set(), {}
     for k, (lhs, rhs, cost, todo) in enumerate(plan):
         assert (lhs, rhs) == table.roots[2 * k : 2 * k + 2]
@@ -998,6 +1011,15 @@ def _assert_layout(alg, system, fold):
     assert set(uses) == computed
     assert computed == (reached if fold else set(range(len(table.nodes))))
     assert cols == sorted(nodes[i][0].index - 1 for i in computed if isinstance(nodes[i][0], Var))
+    # after a fold, each computed application that reads one variable is
+    # one operation applied to that variable alone
+    reads = []
+    for t, args in nodes:
+        reads.append({t.index} if isinstance(t, Var) else set().union(*(reads[a] for a in args)))
+    for i in computed if fold else ():
+        t, args = nodes[i]
+        if isinstance(t, App) and len(reads[i]) == 1:
+            assert len(args) == 1 and isinstance(nodes[args[0]][0], Var)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1228,3 +1250,32 @@ def test_outcome_independent_of_chunk_size(request, monkeypatch, fixture, text, 
     for chunk in (1, 7, 64):
         monkeypatch.setattr(solver, "_CHUNK", chunk)
         assert solve_bounded(alg, system, z=z, bound=bound) == default
+
+
+
+def test_re_verification_looks_each_distinct_node_up_once(monkeypatch, z4):
+    # a 16-level doubling of x1 built of shared objects: 2**17 - 1 tree
+    # nodes, 17 distinct ones, each one lookup in the add table or the assignment
+    import supersolve.solver as solver
+
+    reads, lookups = [], []
+
+    class Counting(tuple):
+        def __getitem__(self, j):
+            reads.append(j)
+            return super().__getitem__(j)
+
+    def spy(alg, table, a):
+        reads.clear()
+        values = eval_table(alg, table, Counting(a))
+        lookups.append(len(reads))
+        return values
+
+    t = Var(1)
+    for _ in range(16):
+        t = App("add", (t, t))
+    system = EquationSystem(((t, t),))
+    alg = FiniteAlgebra("Z4", 4, (OperationTable("add", 2, Counting(z4.operation("add").table)),))
+    monkeypatch.setattr(solver, "eval_table", spy)
+    assert solve_bounded(alg, system).verdict == SolutionFound((0,), verified=True)
+    assert (len(system.table.nodes), lookups) == (17, [17])

@@ -13,6 +13,7 @@ from supersolve.terms import (
     ParseError,
     Var,
     check_system,
+    eval_table,
     eval_term,
     fold,
     format_system,
@@ -139,11 +140,14 @@ def test_eval_errors(z4):
         eval_term(z4, parse_term("#9"), ())
 
 
-@pytest.mark.parametrize("value", [7, -1, 2.5, True])
+@pytest.mark.parametrize("value", [4, 7, -1, 2.5, True])
 @pytest.mark.parametrize("text", ["x1", "add(#1, neg(x1))"], ids=["bare", "nested"])
 def test_eval_checks_each_value_a_variable_reads(z4, text, value):
     with pytest.raises(EvalError) as info:
         eval_term(z4, parse_term(text), [value])
+    assert str(info.value) == f"x1 = {value!r} out of range [0, 4)"
+    with pytest.raises(EvalError) as info:
+        eval_table(z4, parse_system(f"{text} = #0\n").table, [value])
     assert str(info.value) == f"x1 = {value!r} out of range [0, 4)"
 
 
@@ -235,6 +239,17 @@ def test_check_system(z4):
         check_system(z4, parse_system("add(x1, x2) = #7\n"))
     with pytest.raises(EvalError):
         check_system(z4, parse_system("add(x1) = #3\n"))
+
+
+@pytest.mark.parametrize("equation, message", [
+    ((App("nope", ()), [1]), "unknown operation 'nope'"),
+    (([1], App("nope", ())), "[1] is not a term"),
+])
+def test_an_unhashable_leaf_is_refused_in_table_order(z4, equation, message):
+    # it has a node of its own, so the first faulty node in post-order raises
+    with pytest.raises((AlgebraError, EvalError)) as info:
+        check_system(z4, EquationSystem((equation,)))
+    assert str(info.value) == message
 
 
 def test_fold_order_and_depth():
@@ -330,6 +345,24 @@ def test_node_table_shares_equal_subterms(equations, distinct):
     system = EquationSystem(equations)
     _assert_node_table(system)
     assert len(system.table.nodes) == distinct
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eval_table_gives_each_node_the_value_of_eval_term(group_fixtures, lattice, data):
+    # a random system and one more equation whose sides apply operations to
+    # its sides, so that subterms are shared within and across equations
+    alg = data.draw(st.sampled_from([*group_fixtures, lattice]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    system = random_system(rng, alg, max_n=6, max_s=3, max_depth=4)
+    sides = [t for eq in system.equations for t in eq]
+    ops = [op for op in alg.operations if op.arity]
+    shared = [App(op.name, tuple(rng.choices(sides, k=op.arity))) for op in rng.choices(ops, k=2)]
+    system = EquationSystem((*system.equations, tuple(shared)))
+    a = data.draw(st.lists(st.integers(0, alg.size - 1), min_size=system.n, max_size=system.n))
+    values = eval_table(alg, system.table, a)
+    assert values == [eval_term(alg, t, a) for t, _ in system.table.nodes]
+    assert [values[r] for r in system.table.roots] == [eval_term(alg, t, a) for t in (*sides, *shared)]
 
 
 # Arbitrary text, drawn as lines "lhs = rhs" of arbitrary pieces.  The
