@@ -63,6 +63,10 @@ from .terms import Const, EquationSystem, Var, check_node, eval_table
 from .terms import eval_term  # noqa: F401  bench/tracing.py wraps supersolve.solver.eval_term
 
 _CHUNK = 1 << 16
+# glibc hands freed heap memory back to the OS past a trim threshold of 128 KiB,
+# so a 65,536-row chunk took 0 to 660 page faults a call, by the heap's history;
+# freeing one untouched 4 MiB block raises the threshold to 8 MiB for good.
+np.empty(1 << 22, np.uint8)
 
 
 @dataclass(frozen=True)

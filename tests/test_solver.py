@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
+import platform
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -339,6 +344,29 @@ def test_evaluator_drops_each_value_at_its_last_reader(z4):
         tracemalloc.stop()
     assert peak < 4 << 20, peak
     assert not f.any()  # each variable is read 250 times: the sum is even
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trim threshold")
+def test_a_freed_chunk_is_not_faulted_in_again():
+    # past glibc's first trim threshold, 128 KiB, freed memory went back to
+    # the OS and each 65,536-row chunk faulted its pages in anew, or not, by
+    # the heap's history; importing the solver raises the threshold to 8 MiB
+    code = (
+        "import resource, numpy as np, supersolve.solver\n"
+        "faults = []\n"
+        "for _ in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    np.ones(1 << 20, np.uint8)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(max(faults[1:]))\n"
+    )
+    import supersolve.solver as solver
+
+    src = str(pathlib.Path(solver.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 16  # about 200 when the array is mapped anew
 
 
 def test_support_batches_match_combinations():
