@@ -40,7 +40,7 @@ from .solver import (
     SolutionFound,
     SolveOutcome,
 )
-from .terms import check_system, format_term, parse_system
+from .terms import EquationSystem, check_system, format_term, parse_system
 
 SCHEMA = "supersolve/1"
 
@@ -84,21 +84,6 @@ _LEADING_ZERO, _COMMA, _ROW_END = 10, 11, 12
 _CODE_TEXT = bytes.maketrans(bytes([*range(10), _COMMA, _ROW_END]), b"0123456789,]")
 
 
-def _big_digits(codes: np.ndarray, rows: np.ndarray, top: int) -> None:
-    """_json_rows' codes for Python ints past 2**64, cut once into 19-digit
-    parts in uint64, lowest first: a part's zero leads where those above are 0."""
-    width = stop = codes.shape[-1]
-    while stop:
-        part, rows, top = (rows % 10**19, rows // 10**19, top // 10**19) if top >= 10**19 else (rows, 0, 0)
-        part, high = part.astype(np.uint64), rows != 0
-        for k in reversed(range(max(stop - 19, 0), stop)):
-            quotient = part // 10
-            digit = part - quotient * 10
-            codes[..., k] = digit if k == width - 1 else np.where((part > 0) | high, digit, _LEADING_ZERO)
-            part = quotient
-        stop = k
-
-
 def _json_rows(rows: np.ndarray) -> str:
     """The JSON object {"0": rows[0], "1": rows[1], ...} of a 2-D array of
     non-negative ints (int64 or Python ints), byte for byte as json.dumps
@@ -106,96 +91,91 @@ def _json_rows(rows: np.ndarray) -> str:
     Every value gets one byte per decimal digit of the largest and one for
     the comma after it; the digits are taken for all values at once,
     lowest first, each in the narrowest dtype that holds what is left of
-    the largest; Python ints past 2**64 are split once into uint64 parts."""
+    the largest.  Past 2**64 no numpy integer dtype holds the values, and
+    json.dumps of the rows' lists is the faster of the two."""
     top = int(rows.max())
+    if top >> 64:
+        return json.dumps(dict(enumerate(rows.tolist())), separators=(",", ":"))
     width = len(str(top))
     codes = np.empty(rows.shape + (width + 1,), np.uint8)
     codes[..., width] = _COMMA
     codes[:, -1, width] = _ROW_END
-    if top >> 64:
-        _big_digits(codes[..., :width], rows, top)
-    else:
-        rest = rows.astype(np.min_scalar_type(top))
-        for k in reversed(range(width)):
-            quotient = rest // 10
-            digit = rest - quotient * 10  # rest % 10, which numpy computes far slower
-            codes[..., k] = digit if k == width - 1 else np.where(rest != 0, digit, _LEADING_ZERO)
-            top //= 10
-            rest = quotient.astype(np.min_scalar_type(top), copy=False)
+    rest = rows.astype(np.min_scalar_type(top))
+    for k in reversed(range(width)):
+        quotient = rest // 10
+        digit = rest - quotient * 10  # rest % 10, which numpy computes far slower
+        codes[..., k] = digit if k == width - 1 else np.where(rest != 0, digit, _LEADING_ZERO)
+        top //= 10
+        rest = quotient.astype(np.min_scalar_type(top), copy=False)
     text = codes.tobytes().translate(_CODE_TEXT, bytes([_LEADING_ZERO])).decode("ascii")
     row_texts = text.split("]")[:-1]
     return "{" + ",".join(f'"{mask}":[{row}]' for mask, row in enumerate(row_texts)) + "}"
 
 
-_VERDICT_KINDS = {
-    SolutionFound: "solution_found",
-    NoSolutionInBoundedSet: "no_solution_in_bounded_set",
-    NoSolutionExhaustive: "no_solution_exhaustive",
+# verdict type -> (its supersolve/1 kind, the keys that its type implies,
+# its human line): a verdict stores only what a solve decides
+_VERDICTS = {
+    SolutionFound: ("solution_found", {"verified": True}, "solution: {0.assignment}"),
+    NoSolutionInBoundedSet: (
+        "no_solution_in_bounded_set",
+        {"conditional": True},
+        "no solution of weight <= {0.bound} (conditional: assumes a supernilpotent algebra)",
+    ),
+    NoSolutionExhaustive: ("no_solution_exhaustive", {}, "no solution (exhaustive search)"),
 }
 
 
 def _verdict_doc(outcome: SolveOutcome) -> dict:
     v = outcome.verdict
+    kind, implied, _ = _VERDICTS[type(v)]
     return {
         # vars, not asdict: asdict would deep-copy the assignment, about 40 us
         # a solve, and costs about 2 us on the stats where vars costs 0.2 us
-        "verdict": {"kind": _VERDICT_KINDS[type(v)], **vars(v)},
+        "verdict": {"kind": kind, **vars(v), **implied},
         "stats": dict(vars(outcome.stats)),
     }
 
 
 def _verdict_text(outcome: SolveOutcome) -> str:
-    v = outcome.verdict
-    stats = (
-        f"candidates tested: {outcome.stats.candidates_tested}, "
+    return (
+        _VERDICTS[type(outcome.verdict)][2].format(outcome.verdict)
+        + f"\ncandidates tested: {outcome.stats.candidates_tested}, "
         f"term evaluations: {outcome.stats.term_evaluations}"
     )
-    if isinstance(v, SolutionFound):
-        return f"solution: {v.assignment}\n{stats}"
-    if isinstance(v, NoSolutionInBoundedSet):
-        return (
-            f"no solution of weight <= {v.bound} "
-            "(conditional: assumes a supernilpotent algebra)\n" + stats
-        )
-    return f"no solution (exhaustive search)\n{stats}"
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[FiniteAlgebra, object]:
+def _load_inputs(args: argparse.Namespace) -> tuple[FiniteAlgebra, EquationSystem, dict]:
+    """The algebra, the checked system, and the head of their document."""
     alg = load_algebra(_read(args.algebra))
     system = parse_system(_read(args.system))
     check_system(alg, system)
-    return alg, system
+    return alg, system, {"algebra": alg.name, "n": system.n, "s": system.s}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    alg, system = _load_inputs(args)
+    alg, system, doc = _load_inputs(args)
     outcome = solver.solve_bounded(alg, system, z=args.zero, bound=args.bound)
-    doc = {"algebra": alg.name, "n": system.n, "s": system.s, "zero": args.zero}
-    doc.update(_verdict_doc(outcome))
+    doc.update(zero=args.zero, **_verdict_doc(outcome))
     _emit(args, doc, _verdict_text(outcome))
     return EXIT_OK if outcome.satisfiable else EXIT_NO_SOLUTION
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
-    alg, system = _load_inputs(args)
+    alg, system, doc = _load_inputs(args)
     outcome = solver.solve_brute(alg, system)
-    doc = {"algebra": alg.name, "n": system.n, "s": system.s}
     doc.update(_verdict_doc(outcome))
     _emit(args, doc, _verdict_text(outcome))
     return EXIT_OK if outcome.satisfiable else EXIT_NO_SOLUTION
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    alg, system = _load_inputs(args)
+    alg, system, doc = _load_inputs(args)
     result = solver.bench(alg, system, z=args.zero)
-    doc = {
-        "algebra": alg.name,
-        "n": system.n,
-        "s": system.s,
-        "agree": result.agree,
-        "bounded": _verdict_doc(result.bounded),
-        "brute": _verdict_doc(result.brute),
-    }
+    doc.update(
+        agree=result.agree,
+        bounded=_verdict_doc(result.bounded),
+        brute=_verdict_doc(result.brute),
+    )
     if not args.deterministic:
         doc["bounded_seconds"] = result.bounded_seconds
         doc["brute_seconds"] = result.brute_seconds

@@ -4,11 +4,11 @@ The bounded solver scans the candidate set of assignments whose weight
 (coordinates differing from the base element z) stays below the tight
 bound; for supernilpotent algebras a solvable system always has such a
 low-weight solution, so an exhausted scan proves unsolvability *given
-that precondition*.  Verdicts say which kind they are: found solutions
-are re-verified and unconditional (one that fails raises TheoremViolation,
-an implementation bug), bounded "no" verdicts carry an explicit
-conditional flag, and scans that covered all of A^n upgrade to an
-unconditional exhaustive verdict.
+that precondition*.  A verdict's type is its whole claim: a
+SolutionFound is re-verified and unconditional (one that fails raises
+TheoremViolation, an implementation bug), a NoSolutionInBoundedSet is
+conditional on that precondition, and a scan that covered all of A^n
+gives the unconditional NoSolutionExhaustive.
 
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
@@ -78,13 +78,11 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolutionFound:
     assignment: tuple[int, ...]
-    verified: bool
 
 
 @dataclass(frozen=True)
 class NoSolutionInBoundedSet:
     bound: int
-    conditional: bool = True
 
 
 @dataclass(frozen=True)
@@ -398,8 +396,10 @@ def _scan(alg: FiniteAlgebra, system: EquationSystem, planned, bound: int, z: in
 
 
 def _found(alg, system, cols, base: int, row) -> SolutionFound:
-    """row's values at the coordinates cols and base at every other one,
-    re-checked independently by eval_table over the unfolded node table."""
+    """The SolutionFound of row's values at the coordinates cols and base at
+    every other one, re-checked independently by eval_table over the
+    unfolded node table; a failed check raises TheoremViolation, so every
+    SolutionFound is verified."""
     try:
         a = [base] * system.n
     except (MemoryError, OverflowError):
@@ -409,7 +409,7 @@ def _found(alg, system, cols, base: int, row) -> SolutionFound:
     values, roots = eval_table(alg, system.table, a), system.table.roots
     if any(values[lhs] != values[rhs] for lhs, rhs in zip(roots[::2], roots[1::2])):
         raise TheoremViolation(f"candidate {tuple(a)} failed re-verification")
-    return SolutionFound(tuple(a), verified=True)
+    return SolutionFound(tuple(a))
 
 
 def solve_bounded(

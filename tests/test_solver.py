@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import pathlib
@@ -252,7 +253,7 @@ def test_a_small_scan_is_one_evaluator_call(monkeypatch, z3, z4):
     out = solve_bounded(z4, system)
     planted = [0] * 20
     planted[6], planted[12] = 2, 3
-    assert out.verdict == SolutionFound(tuple(planted), verified=True)
+    assert out.verdict == SolutionFound(tuple(planted))
     assert calls == [1 + 2 * 3 + 9]
 
 
@@ -316,7 +317,7 @@ def test_one_element_carrier_is_solved_in_layer_0(monkeypatch, bound):
     monkeypatch.setattr(solver, "_weight_chunks", spy)
     out = solve_bounded(alg, system, bound=bound)
     ref, tested, nodes = _reference_scan(alg, system, enumerate_bounded_weight(3, bound, 1))
-    assert out.verdict == SolutionFound((0, 0, 0), verified=True) and ref == (0, 0, 0)
+    assert out.verdict == SolutionFound((0, 0, 0)) and ref == (0, 0, 0)
     assert out.stats == solver.SolveStats(tested, nodes) and tested == 1
     assert drawn == [0]
 
@@ -430,32 +431,43 @@ def test_enumeration_covers_full_space_when_w_reaches_n():
 
 def test_solve_bounded_examples(z4, z2):
     out = solve_bounded(z4, parse_system("add(add(x1,x2),x3) = #3"))
-    assert out.verdict == SolutionFound((3, 0, 0), verified=True)
+    assert out.verdict == SolutionFound((3, 0, 0))
     assert out.stats.candidates_tested == 4
 
     out = solve_bounded(z2, parse_system("add(x1,x1) = #1"))
     assert out.verdict == NoSolutionExhaustive()
 
     out = solve_bounded(z2, parse_system("add(x1,x2) = #1\nx1 = #1"))
-    assert out.verdict == SolutionFound((1, 0), verified=True)
+    assert out.verdict == SolutionFound((1, 0))
 
 
 def test_solve_brute_examples(z4, z2):
     out = solve_brute(z4, parse_system("add(add(x1,x2),x3) = #3"))
-    assert out.verdict == SolutionFound((0, 0, 3), verified=True)
+    assert out.verdict == SolutionFound((0, 0, 3))
 
     out = solve_brute(z2, parse_system("add(x1,x1) = #1"))
     assert out.verdict == NoSolutionExhaustive()
 
     out = solve_brute(z2, parse_system("#1 = #1"))
-    assert out.verdict == SolutionFound((), verified=True)
+    assert out.verdict == SolutionFound(())
 
 
 def test_conditional_verdict_below_n(z2):
     # bound 1 < n = 16, so the negative verdict must stay conditional
     out = solve_bounded(z2, parse_system("add(x16, x16) = #1"))
-    assert out.verdict == NoSolutionInBoundedSet(bound=1, conditional=True)
+    assert out.verdict == NoSolutionInBoundedSet(bound=1)
     assert out.stats.candidates_tested == bounded_weight_count(16, 1, 2)
+
+
+def test_a_verdict_cannot_contradict_its_type():
+    # a bounded "no" is conditional and a found solution verified by their
+    # types alone, so neither can be built claiming the opposite
+    assert [f.name for f in dataclasses.fields(SolutionFound)] == ["assignment"]
+    assert [f.name for f in dataclasses.fields(NoSolutionInBoundedSet)] == ["bound"]
+    with pytest.raises(TypeError):
+        NoSolutionInBoundedSet(3, conditional=False)
+    with pytest.raises(TypeError):
+        SolutionFound((1,), verified=False)
 
 
 def test_bounded_no_stays_conditional_over_non_supernilpotent_s3():
@@ -467,8 +479,8 @@ def test_bounded_no_stays_conditional_over_non_supernilpotent_s3():
 
     s3 = dihedral_group(3)
     system = parse_system(comm(comm(comm("x1", "x2"), "x3"), "x4") + " = #1")
-    assert solve_bounded(s3, system).verdict == NoSolutionInBoundedSet(bound=3, conditional=True)
-    assert solve_brute(s3, system).verdict == SolutionFound((1, 3, 3, 3), verified=True)
+    assert solve_bounded(s3, system).verdict == NoSolutionInBoundedSet(bound=3)
+    assert solve_brute(s3, system).verdict == SolutionFound((1, 3, 3, 3))
 
 
 def test_errors_propagate(z4):
@@ -769,7 +781,7 @@ def test_counted_layers_match_the_reference(z2, z3, z4, k4, case, data):
         alg, system, enumerate_bounded_weight(n, bound, size, z)
     )
     if ref_sol is not None:
-        expected = SolutionFound(ref_sol, verified=True)
+        expected = SolutionFound(ref_sol)
     else:
         expected = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
     # the weights of the solving points over the mentioned variables, z elsewhere
@@ -962,7 +974,7 @@ def test_folded_scan_matches_the_reference(group_fixtures, lattice, data):
         alg, system, enumerate_bounded_weight(n, bound, size, z)
     )
     if ref_sol is not None:
-        expected = SolutionFound(ref_sol, verified=True)
+        expected = SolutionFound(ref_sol)
     else:
         expected = NoSolutionExhaustive() if bound >= n else NoSolutionInBoundedSet(bound=bound)
     for chunk in (1, 7, 64, solver._CHUNK):
@@ -1162,7 +1174,6 @@ def test_found_solutions_verified_and_weight_bounded(z2, z6):
             system = random_system(rng, alg, max_n=5, max_s=2, max_depth=3)
             out = solve_bounded(alg, system)
             if isinstance(out.verdict, SolutionFound):
-                assert out.verdict.verified
                 a = out.verdict.assignment
                 assert all(
                     eval_term(alg, lhs, a) == eval_term(alg, rhs, a)
@@ -1274,7 +1285,7 @@ def test_outcome_independent_of_chunk_size(request, monkeypatch, fixture, text, 
     default = solve_bounded(alg, system, z=z, bound=bound)
     assert default.satisfiable == (expected is not None)
     if expected is not None:
-        assert default.verdict == SolutionFound(expected, verified=True)
+        assert default.verdict == SolutionFound(expected)
     for chunk in (1, 7, 64):
         monkeypatch.setattr(solver, "_CHUNK", chunk)
         assert solve_bounded(alg, system, z=z, bound=bound) == default
@@ -1305,5 +1316,5 @@ def test_re_verification_looks_each_distinct_node_up_once(monkeypatch, z4):
     system = EquationSystem(((t, t),))
     alg = FiniteAlgebra("Z4", 4, (OperationTable("add", 2, Counting(z4.operation("add").table)),))
     monkeypatch.setattr(solver, "eval_table", spy)
-    assert solve_bounded(alg, system).verdict == SolutionFound((0,), verified=True)
+    assert solve_bounded(alg, system).verdict == SolutionFound((0,))
     assert (len(system.table.nodes), lookups) == (17, [17])
