@@ -8,7 +8,6 @@ they scan in different orders.
 
 from supersolve import parse_system, solve_bounded, solve_brute
 from supersolve.groups import cyclic_group
-from supersolve.solver import bench
 
 z4 = cyclic_group(4)
 system = parse_system("""
@@ -28,7 +27,7 @@ print()
 print("an unsatisfiable equation mentioning x16 shows the gap:")
 z2 = cyclic_group(2)
 hard = parse_system("add(x16, x16) = #1")
-result = bench(z2, hard)
-print(f"  bounded tested {result.bounded.stats.candidates_tested} candidates")
-print(f"  brute tested   {result.brute.stats.candidates_tested} candidates")
-print(f"  verdicts agree: {result.agree}")
+hard_bounded, hard_brute = solve_bounded(z2, hard), solve_brute(z2, hard)
+print(f"  bounded tested {hard_bounded.stats.candidates_tested} candidates")
+print(f"  brute tested   {hard_brute.stats.candidates_tested} candidates")
+print(f"  verdicts agree: {hard_bounded.satisfiable == hard_brute.satisfiable}")

@@ -4,9 +4,10 @@ The closure runs over function tables, not terms: starting from the three
 projections (plus every constant, when polynomial rather than term operations
 are wanted), fundamental operations are applied pointwise and new tables are
 queued breadth-first, in batches of argument tuples over tables held in
-algebra.carrier_dtype, as the solver's are; a nullary operation's one batch,
-the empty tuple, comes in round 0 only.  Each table remembers the first term
-that produced it, so returned witnesses are minimal in BFS layer count.
+algebra.carrier_dtype, as the solver's are, each batch applied by one
+gather; a nullary operation's one batch, the empty tuple, comes in round 0
+only.  Each table remembers the first term that produced it, so returned
+witnesses are minimal in BFS layer count.
 The table space is finite, hence exhaustion proves nonexistence; a cap on
 the tables (DEFAULT_CAP, also the command line's default) bounds runaway
 closures and is reported as incompleteness, not an error.  _clone streams
@@ -72,8 +73,8 @@ def _arg_tuples(snapshot: int, arity: int, lo: int, rows: int, ordered: tuple[in
     """The argument index tuples c over range(snapshot) that touch
     range(lo, snapshot) and have c[t] <= c[t+1] at each position t in
     ordered, in product order, as (k, arity) intp batches of at most rows
-    tuples.  The empty tuple of arity 0 counts as touching 0, so a nullary
-    operation joins round 0 only, at its place.
+    tuples.  The empty tuple of arity 0 counts as touching 0 and has index
+    0, so a nullary operation joins round 0 only, at its place.
 
     A product of at most rows tuples is one batch, filtered: for the small
     rounds of small algebras that takes fewer numpy calls.  Otherwise the
@@ -136,11 +137,11 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
     all come out before the cap is first checked; after them the stream ends
     once cap tables are out, or when a round adds nothing.  The current layer
     is tables[lo:snapshot], the tables added by the previous round.  Each
-    batch of argument tuples is applied in numpy (a nullary operation's one
-    empty tuple, in round 0, gives its value broadcast), and its result rows
-    are taken in order, as byte slices of one buffer; only a row not seen
-    before builds its witness.  A table is a view of its key, so its values
-    are stored once, for the seen set and the table list alike.
+    batch of argument tuples is applied by one gather from the operation's
+    array (a nullary one's is its value's ternary table, as one row), and
+    its result rows are taken in order, as byte slices of one buffer; only a
+    row not seen before builds its witness.  A table is a view of its key,
+    so its values are stored once, for the seen set and the table list alike.
 
     The batches hold only the tuples that touch the current layer, in one
     order of each pair of adjacent positions that the operation's table is
@@ -172,7 +173,8 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
             yield add(key, witness)
     if size == 1:
         return  # over one element every ternary table is x1's
-    op_arrays = [np.asarray(op.table, dtype=dtype) for op in alg.operations]
+    op_arrays = [np.asarray(op.table if op.arity else [op.table * length], dtype)
+                 for op in alg.operations]
     ordered = [_symmetric_pairs(a, size, op.arity) for op, a in zip(alg.operations, op_arrays)]
     rows = max(1, _BATCH_CELLS // length)
     width = length * dtype.itemsize
@@ -182,11 +184,8 @@ def _clone(alg: FiniteAlgebra, include_constants: bool, cap: int):
         stacked = np.stack(tables)
         for op, op_array, pairs in zip(alg.operations, op_arrays, ordered):
             for combos in _arg_tuples(snapshot, op.arity, lo, rows, pairs):
-                buf = (
-                    op_array.take(table_index([stacked.take(c, axis=0) for c in combos.T], size))
-                    if op.arity
-                    else np.broadcast_to(op_array, (1, length))
-                ).tobytes()
+                index = table_index([stacked.take(c, axis=0) for c in combos.T], size)
+                buf = op_array.take(index, axis=0).tobytes()
                 for j in range(len(combos)):
                     key = buf[j * width : (j + 1) * width]
                     if key in seen:

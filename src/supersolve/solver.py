@@ -8,7 +8,8 @@ that precondition*.  A verdict's type is its whole claim: a
 SolutionFound is re-verified and unconditional (one that fails raises
 TheoremViolation, an implementation bug), a NoSolutionInBoundedSet is
 conditional on that precondition, and a scan that covered all of A^n
-gives the unconditional NoSolutionExhaustive.
+gives the unconditional NoSolutionExhaustive.  The command line's bench
+command runs and times the two scans, solve_bounded and solve_brute.
 
 Candidate order is canonical and deterministic: weight ascending, then
 support sets in lexicographic (combinations) order, then value tuples in
@@ -28,7 +29,8 @@ What is left reads only V' within V, and the bounded scan builds only
 the columns of V'; brute, the oracle, keeps the unfolded terms over V.
 Each row's f, the index of the first equation it fails, comes from one
 evaluator of numpy table gathers: each reached node once per chunk, each
-equation on the rows still satisfied.
+equation on the rows still satisfied; both plans hold a nullary
+application as its constant, so every gather has an argument.
 The bounded scan generates only the supports inside V': when the layers
 below w hold no solution, a solving row of layer w lies inside V', or
 resetting it to z outside V' would give a lighter solution.  Every other
@@ -49,7 +51,6 @@ evaluates equations left to right and stops at the first mismatch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
@@ -59,7 +60,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, carrier_dtype, digits, max_arity, table_index
 from .algebra import _check_count, _in_range
 from .bounds import TheoremViolation, make_bound_report
-from .terms import Const, EquationSystem, Var, check_node, eval_table
+from .terms import App, Const, EquationSystem, Var, check_node, eval_table
 from .terms import eval_term  # noqa: F401  bench/tracing.py wraps supersolve.solver.eval_term
 
 _CHUNK = 1 << 16
@@ -101,18 +102,6 @@ class SolveOutcome:
     @property
     def satisfiable(self) -> bool:
         return isinstance(self.verdict, SolutionFound)
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    bounded: SolveOutcome
-    brute: SolveOutcome
-    bounded_seconds: float
-    brute_seconds: float
-
-    @property
-    def agree(self) -> bool:
-        return self.bounded.satisfiable == self.brute.satisfiable
 
 
 def bounded_weight_count(n: int, w: int, size: int) -> int:
@@ -189,12 +178,13 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
     its one-variable subterms in the same forward pass; then lay out the
     nodes that the roots reach.
 
-    Each node is checked before the fold reads it.  The fold tabulates each
-    node that reads at most one variable over A, from its arguments' values.
-    At its own id, an application whose values are all one element c becomes
-    (Const(c), ()) (a nullary one is evaluated as a constant already), and
-    any other but one operation applied to its variable x becomes a gather,
-    (its values, (x's id,)); what a folded node read stays, unreached.
+    Each node is checked before anything reads it; a nullary application
+    then becomes (Const(its one entry), ()), in both plans.  The fold
+    tabulates each node that reads at most one variable over A, from its
+    arguments' values.  At its own id, an application whose values are all
+    one element c becomes (Const(c), ()), and any other but one operation
+    applied to its variable x becomes a gather, (its values, (x's id,));
+    what a folded node read stays, unreached.
 
     Returns the nodes as (term, arg ids); per equation (lhs id, rhs id, tree
     size of its original terms, todo), todo being the reached ids it computes
@@ -208,6 +198,9 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
     values = []  # per node reading at most one variable: its values over A
     for i, (t, args) in enumerate(nodes):
         check_node(alg, t)
+        if isinstance(t, App) and not args:
+            t = Const(tables[t.op][0])
+            nodes[i] = (t, ())
         if not fold:
             continue
         v, col = 0, None
@@ -224,11 +217,11 @@ def _plan(alg: FiniteAlgebra, system: EquationSystem, fold: bool = False):
                         break
                     v = u
             if v >= 0:
-                index = values[args[0]] if args else (0,) * size
+                index = values[args[0]]
                 for a in args[1:]:
                     index = [j * size + x for j, x in zip(index, values[a])]
                 col = list(map(tables[t.op].__getitem__, index))
-                if args and col.count(col[0]) == size:
+                if col.count(col[0]) == size:
                     nodes[i] = (Const(col[0]), ())
                     v = 0
                 elif v and args != (v - 1,):
@@ -288,10 +281,8 @@ def _evaluator(alg: FiniteAlgebra, planned):
                     values[i] = np.full(live, t.value, dtype)
                 elif type(t) is tuple:
                     values[i] = tables[i].take(values[args[0]])
-                elif args:
-                    values[i] = tables[t.op].take(table_index([values[a] for a in args], alg.size))
                 else:
-                    values[i] = np.full(live, tables[t.op][0], dtype)
+                    values[i] = tables[t.op].take(table_index([values[a] for a in args], alg.size))
                 for a in frees.get(i, ()):
                     del values[a]
             keep = values[lhs] == values[rhs]
@@ -451,17 +442,3 @@ def solve_brute(alg: FiniteAlgebra, system: EquationSystem) -> SolveOutcome:
         evaluated += _cost(f, plan)
     return SolveOutcome(NoSolutionExhaustive(), SolveStats(tested, evaluated))
 
-
-def bench(alg: FiniteAlgebra, system: EquationSystem, z: int = 0) -> BenchResult:
-    """Run both solvers and report verdicts, counters, and wall time."""
-    t0 = time.perf_counter()
-    bounded = solve_bounded(alg, system, z=z)
-    t1 = time.perf_counter()
-    brute = solve_brute(alg, system)
-    t2 = time.perf_counter()
-    return BenchResult(
-        bounded=bounded,
-        brute=brute,
-        bounded_seconds=t1 - t0,
-        brute_seconds=t2 - t1,
-    )

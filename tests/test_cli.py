@@ -198,7 +198,9 @@ def test_bench_deterministic_json_is_stable(tmp_path, capsys, z2_file):
 
     code, out, _ = run_cli(capsys, argv + ["--no-deterministic"])
     assert code == 1
-    assert "bounded_seconds" in json.loads(out)
+    timed = json.loads(out)
+    for key in ("bounded_seconds", "brute_seconds"):
+        assert isinstance(timed[key], float) and timed[key] >= 0
 
 
 def test_malcev_command(tmp_path, capsys, z4_file):
